@@ -420,9 +420,8 @@ def exec_finish(answers, gold_answers=None) -> Observation:
     return Observation(verified_answers=verified)
 
 
-def cot_fallback(question: str, llm) -> list[str]:
+def cot_fallback(question: str, chat: TemplateChat) -> list[str]:
     """Single chain-of-thought call for questions without topic entities."""
-    chat = llm if isinstance(llm, TemplateChat) else TemplateChat(llm)
     reply = chat("cot", {"question": question})
     for line in reversed([ln.strip() for ln in reply.splitlines() if ln.strip()]):
         m = re.match(r"(?i)^answer\s*:\s*(.*)$", line)

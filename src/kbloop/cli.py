@@ -39,22 +39,12 @@ def _write_triples(path, triples) -> None:
             fh.write(f"{t.head}\t{t.relation}\t{t.tail}\n")
 
 
-def _read_triples(path) -> list[kb_mod.Triple]:
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                h, r, t = line.rstrip("\n").split("\t")
-                triples.append(kb_mod.Triple(h, r, t))
-    return triples
-
-
 def _working_kb(cfg, run_dir) -> kb_mod.KnowledgeBase:
     working = Path(run_dir) / "working_triples.tsv"
     if not working.exists():
         raise click.UsageError(f"no prepared KB in {run_dir}; run `kbloop kb prepare` first")
     full = _full_kb(cfg)
-    return full.with_triples(_read_triples(working))
+    return full.with_triples(kb_mod.read_triples(working))
 
 
 def _backend(cfg, scripted):
@@ -183,6 +173,7 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
         train_config=cfg.training_config(),
         samples_per_triple=cfg.replay_samples_per_triple,
         pretrain_triples=pretrain_triples,
+        params=cfg.llm_params(),
     )
     finetuned = sum(1 for r in result.records if r.finetuned)
     click.echo(f"joint training done: {len(result.records)} questions, {finetuned} fine-tune updates")
@@ -204,13 +195,13 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
         raise click.UsageError(f"bad --k list: {ks!r}")
     working_kb = _working_kb(cfg, run_dir)
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb, require_checkpoint=True)
-    queries = _read_triples(Path(run_dir) / f"{split_name}.tsv")
+    queries = kb_mod.read_triples(Path(run_dir) / f"{split_name}.tsv")
     if limit:
         queries = queries[:limit]
     known = set()
     if filtered:
         for name in ("train.tsv", "valid.tsv", "test.tsv"):
-            known.update(_read_triples(Path(run_dir) / name))
+            known.update(kb_mod.read_triples(Path(run_dir) / name))
 
     rankings, gold = [], []
     n_candidates = len(working_kb.entities)

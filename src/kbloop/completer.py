@@ -1,7 +1,8 @@
 """Trainable triple completer behind a uniform interface.
 
-Two realizations share the same surface (pretrain / predict / score_triple /
-incremental_finetune):
+Two realizations share the same surface (pretrain / predict /
+incremental_finetune), and both answer one kind of query: the missing tail
+of a (head, relation) pair.
 
 * ``NativeCompleter`` — a bilinear model over entity and relation embeddings,
   score(h, r, t) = dot(e_h * w_r, e_t), trained with softmax cross-entropy
@@ -40,8 +41,6 @@ logger = logging.getLogger(__name__)
 
 SEP_TOKEN = "⟨SEP⟩"  # ⟨SEP⟩
 
-_DIRECTIVES = {"tail": "predict tail", "head": "predict head", "relation": "predict relation"}
-
 
 class ModelStateError(Exception):
     """Operation requires a trained model."""
@@ -57,46 +56,19 @@ class CompleterTransportError(Exception):
 
 @dataclass(frozen=True)
 class CompletionQuery:
-    """A triple with exactly one unknown slot."""
+    """A tail query: which entity completes (h, r, ?)."""
 
-    mode: str  # tail | head | relation
-    h: EntityId | None = None
-    r: RelationId | None = None
-    t: EntityId | None = None
-
-    def __post_init__(self):
-        expected_absent = {"tail": "t", "head": "h", "relation": "r"}
-        if self.mode not in expected_absent:
-            raise ValueError(f"unknown query mode {self.mode!r}")
-        for slot in ("h", "r", "t"):
-            value = getattr(self, slot)
-            if slot == expected_absent[self.mode]:
-                if value is not None:
-                    raise ValueError(f"{self.mode} query must leave {slot!r} unset")
-            elif value is None:
-                raise ValueError(f"{self.mode} query requires {slot!r}")
+    h: EntityId
+    r: RelationId
 
     @classmethod
     def tail_query(cls, h: EntityId, r: RelationId) -> "CompletionQuery":
-        return cls(mode="tail", h=h, r=r)
-
-    @classmethod
-    def head_query(cls, r: RelationId, t: EntityId) -> "CompletionQuery":
-        return cls(mode="head", r=r, t=t)
-
-    @classmethod
-    def relation_query(cls, h: EntityId, t: EntityId) -> "CompletionQuery":
-        return cls(mode="relation", h=h, t=t)
-
-
-@dataclass(frozen=True)
-class InputSequence:
-    text: str
+        return cls(h, r)
 
 
 @dataclass(frozen=True)
 class RankedPrediction:
-    entity: str  # entity id, or relation id for relation-mode queries
+    entity: EntityId
     score: float
 
 
@@ -108,8 +80,6 @@ class TrainingConfig:
     seed: int = 0
     # sweeps over the combined new+replay sample during one fine-tune call
     finetune_passes: int = 10
-    # anti-forgetting budget checked by the evaluation suite (relative MRR loss)
-    forgetting_tolerance: float = 0.10
 
 
 class ReplayMemory:
@@ -118,9 +88,6 @@ class ReplayMemory:
     def __init__(self, pool, seed: int = 0):
         self.pool: list[Triple] = sorted(set(pool))
         self._rng = random.Random(seed)
-
-    def __len__(self) -> int:
-        return len(self.pool)
 
     def sample(self, n: int) -> list[Triple]:
         """Draw ``n`` distinct triples uniformly (the whole pool if smaller)."""
@@ -136,43 +103,25 @@ def render_context_triple(kb: KnowledgeBase, t: Triple) -> str:
     )
 
 
-def build_input_sequence(kb: KnowledgeBase, query: CompletionQuery, max_context: int = 20) -> InputSequence:
-    """Assemble the completer's textual input for a query.
+def build_input_sequence(kb: KnowledgeBase, query: CompletionQuery, max_context: int = 20) -> str:
+    """Assemble the completer's textual input for a tail query.
 
-    Layout: a directive line naming the known slots, the anchor entity's
-    description in brackets, the query relation, then co-occurrence-ranked
-    context triples joined by the separator token. The anchor is the known
-    entity (head for tail queries, tail for head queries).
+    Layout: a directive line naming the known head and relation, the head
+    entity's description in brackets, the query relation, then
+    co-occurrence-ranked context triples of the head joined by the separator
+    token.
     """
-    directive = _DIRECTIVES[query.mode]
-    if query.mode == "tail":
-        anchor, rel = query.h, query.r
-        known = f"{kb.label_of(anchor)} | {kb.relation_label(rel)}"
-    elif query.mode == "head":
-        anchor, rel = query.t, query.r
-        known = f"{kb.label_of(anchor)} | {kb.relation_label(rel)}"
-    else:
-        anchor, rel = query.h, None
-        known = f"{kb.label_of(query.h)} | {kb.label_of(query.t)}"
-
-    record = kb.entity(anchor)
+    record = kb.entity(query.h)
+    rel_label = kb.relation_label(query.r)
     lines = [
-        f"{directive}: {known}",
+        f"predict tail: {record.label} | {rel_label}",
         f"entity description: {record.label} [{record.description}]",
+        f"related relationship: {rel_label}",
     ]
-    if rel is not None:
-        lines.append(f"related relationship: {kb.relation_label(rel)}")
-        context = kb.select_context(anchor, rel, max_context)
-    else:
-        # relation queries have no relation to rank by; take the neighbor
-        # order, minus direct h-t edges whose relation is the unknown
-        context = [
-            n for n in kb.neighbors(anchor)
-            if not ({n.head, n.tail} == {query.h, query.t})
-        ][:max_context]
+    context = kb.select_context(query.h, query.r, max_context)
     rendered = f" {SEP_TOKEN} ".join(render_context_triple(kb, t) for t in context)
     lines.append(f"context: {rendered}" if rendered else "context:")
-    return InputSequence(text="\n".join(lines))
+    return "\n".join(lines)
 
 
 class NativeCompleter:
@@ -328,22 +277,13 @@ class NativeCompleter:
         if not self.trained:
             raise ModelStateError("model has not been trained")
 
-    def _query_scores(self, query: CompletionQuery) -> tuple[list[str], np.ndarray]:
-        if query.mode == "tail":
-            u = self.entity_vecs[self._eidx(query.h)] * self.relation_vecs[self._ridx(query.r)]
-            return self.entity_ids, self.entity_vecs @ u
-        if query.mode == "head":
-            u = self.relation_vecs[self._ridx(query.r)] * self.entity_vecs[self._eidx(query.t)]
-            return self.entity_ids, self.entity_vecs @ u
-        u = self.entity_vecs[self._eidx(query.h)] * self.entity_vecs[self._eidx(query.t)]
-        return self.relation_ids, self.relation_vecs @ u
-
     def predict(self, query: CompletionQuery, kb: KnowledgeBase, k: int) -> list[RankedPrediction]:
-        """Top-k candidates, descending score, ties by id ascending."""
+        """Top-k tail candidates, descending score, ties by id ascending."""
         self._require_trained()
         if k < 1:
             raise ValueError("k must be >= 1")
-        ids, scores = self._query_scores(query)
+        u = self.entity_vecs[self._eidx(query.h)] * self.relation_vecs[self._ridx(query.r)]
+        ids, scores = self.entity_ids, self.entity_vecs @ u
         order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
         return [RankedPrediction(ids[i], float(scores[i])) for i in order[:k]]
 
@@ -432,11 +372,10 @@ class RemoteCompleter:
         self.trained = True  # service owns training state
 
     def _decode(self, query: CompletionQuery, kb: KnowledgeBase) -> dict[EntityId, float]:
-        sequence = build_input_sequence(kb, query, self.max_context)
         reply = self._post(
             "complete",
             {
-                "sequence": sequence.text,
+                "sequence": build_input_sequence(kb, query, self.max_context),
                 "num_samples": self.r_samples,
                 "temperature": self.temperature,
             },
@@ -460,12 +399,6 @@ class RemoteCompleter:
         best = self._decode(query, kb)
         ranked = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
         return [RankedPrediction(eid, score) for eid, score in ranked[:k]]
-
-    def score_triple(self, t: Triple, kb: KnowledgeBase | None = None) -> float:
-        if kb is None:
-            raise ValueError("remote score_triple needs the KB for label rendering")
-        best = self._decode(CompletionQuery.tail_query(t.head, t.relation), kb)
-        return best.get(t.tail, float("-inf"))
 
     def pretrain(self, train_triples, kb: KnowledgeBase, config: TrainingConfig | None = None) -> "RemoteCompleter":
         payload = {

@@ -49,7 +49,6 @@ class RunConfig:
     batch_size: int = 64
     finetune_passes: int = 10
     replay_samples_per_triple: int = 10
-    forgetting_tolerance: float = 0.10
     completer_endpoint: str = ""
     r_samples: int = 500
     slm_temperature: float = 1.0
@@ -80,7 +79,6 @@ class RunConfig:
             batch_size=self.batch_size,
             seed=self.seed,
             finetune_passes=self.finetune_passes,
-            forgetting_tolerance=self.forgetting_tolerance,
         )
 
     def llm_params(self) -> LlmParams:

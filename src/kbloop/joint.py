@@ -18,6 +18,7 @@ from pathlib import Path
 from .agent import AgentConfig, EpisodeAborted, run_episode
 from .completer import ReplayMemory, TrainingConfig
 from .kb import KnowledgeBase
+from .llm import LlmParams
 from .paths import ReasoningPath, parse_reasoning_paths
 
 logger = logging.getLogger(__name__)
@@ -73,29 +74,26 @@ def train_joint(
     qa_train,
     completer,
     llm,
+    pretrain_triples,
     agent_config: AgentConfig | None = None,
     train_config: TrainingConfig | None = None,
-    replay_memory: ReplayMemory | None = None,
     samples_per_triple: int = 10,
-    pretrain_triples=None,
     sink=None,
+    params: LlmParams | None = None,
 ) -> JointResult:
     """Run the loop over ``qa_train`` in input order.
 
-    ``replay_memory`` defaults to a pool over ``pretrain_triples`` (which
-    must then be given). Questions that fail with a transport or parse error
-    are logged and skipped; the loop continues. ``sink`` receives each
-    :class:`JointRecord` as it is produced (used for persistence).
+    The replay memory samples ``pretrain_triples``, which also pretrain the
+    completer if it is untrained. Every chat call, the episode's and
+    ``path_select``'s alike, runs with ``params``. Questions that fail with a
+    transport or parse error are logged and skipped; the loop continues.
+    ``sink`` receives each :class:`JointRecord` as it is produced (used for
+    persistence).
     """
     agent_config = agent_config or AgentConfig()
     train_config = train_config or TrainingConfig()
-    if replay_memory is None:
-        if pretrain_triples is None:
-            raise ValueError("need replay_memory or pretrain_triples")
-        replay_memory = ReplayMemory(pretrain_triples, seed=train_config.seed)
+    replay_memory = ReplayMemory(pretrain_triples, seed=train_config.seed)
     if not getattr(completer, "trained", False):
-        if pretrain_triples is None:
-            raise ValueError("completer is untrained and no pretrain_triples were given")
         logger.info("pretraining completer on %d triples", len(set(pretrain_triples)))
         completer.pretrain(pretrain_triples, kb, train_config)
 
@@ -110,6 +108,7 @@ def train_joint(
                 llm,
                 config=agent_config,
                 gold_answers=list(example.gold_answers),
+                params=params,
             )
         except EpisodeAborted as exc:
             logger.warning("question %d aborted: %s", idx, exc)
@@ -122,7 +121,7 @@ def train_joint(
         path = None
         finetuned = False
         if example.topic_entities:  # fallback-answered questions yield no path
-            path = parse_reasoning_paths(trajectory, kb, llm)
+            path = parse_reasoning_paths(trajectory, kb, llm, params)
             if path.triples:
                 completer.incremental_finetune(
                     path.triples,

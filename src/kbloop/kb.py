@@ -87,7 +87,7 @@ class KnowledgeBase:
     Indexes kept in sync with ``triples``:
       * ``out_index``: head id -> triples with that head
       * ``in_index``: tail id -> triples with that tail
-      * ``catalog``: normalized entity label -> sorted tuple of entity ids
+      * ``_catalog``: normalized entity label -> sorted entity ids (:meth:`lookup_label`)
     """
 
     def __init__(self, entities, relations, triples):
@@ -186,10 +186,6 @@ class KnowledgeBase:
             sorted(r for r, rec in self.relations.items() if normalize_label(rec.label) == key)
         )
 
-    @property
-    def catalog(self) -> dict[str, tuple[EntityId, ...]]:
-        return {k: tuple(v) for k, v in self._catalog.items()}
-
     # -- graph queries ----------------------------------------------------
 
     def neighbors(self, e: EntityId) -> list[Triple]:
@@ -273,6 +269,36 @@ def _read_rows(path, min_cols, max_cols, what):
     return rows
 
 
+def read_triples(path, entities=None, relations=None) -> list[Triple]:
+    """Read ``head<TAB>relation<TAB>tail`` lines, skipping blank ones.
+
+    A line without exactly three fields raises :class:`KbLoadError` naming
+    ``path:line``. Given the known ``entities`` and ``relations`` ids, so
+    does a line that references any other id.
+    """
+    triples = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            try:
+                h, r, t = fields
+            except ValueError:
+                raise KbLoadError(
+                    f"{path}:{lineno}: malformed triple line "
+                    f"(expected 3 tab-separated fields, got {len(fields)})"
+                ) from None
+            if entities is not None:
+                for eid in (h, t):
+                    if eid not in entities:
+                        raise KbLoadError(f"{path}:{lineno}: triple references unknown entity {eid!r}")
+                if r not in relations:
+                    raise KbLoadError(f"{path}:{lineno}: triple references unknown relation {r!r}")
+            triples.append(Triple(h, r, t))
+    return triples
+
+
 def load_kb(triples_path, entities_path, relations_path) -> KnowledgeBase:
     """Load a knowledge base from three tab-separated files.
 
@@ -302,21 +328,9 @@ def load_kb(triples_path, entities_path, relations_path) -> KnowledgeBase:
             raise KbLoadError(f"{relations_path}:{lineno}: empty label for relation {rid!r}")
         seen_relations.add(rid)
         relations.append(RelationRecord(rid, label, desc, schema))
-    if NOOP_RELATION not in seen_relations:
-        seen_relations.add(NOOP_RELATION)
+    seen_relations.add(NOOP_RELATION)
 
-    triples = []
-    for lineno, (h, r, t) in _read_rows(triples_path, 3, 3, "triple"):
-        for eid in (h, t):
-            if eid not in seen_entities:
-                raise KbLoadError(
-                    f"{triples_path}:{lineno}: triple references unknown entity {eid!r}"
-                )
-        if r not in seen_relations:
-            raise KbLoadError(
-                f"{triples_path}:{lineno}: triple references unknown relation {r!r}"
-            )
-        triples.append(Triple(h, r, t))
+    triples = read_triples(triples_path, seen_entities, seen_relations)
 
     kb = KnowledgeBase(entities, relations, triples)
     logger.info(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from dataclasses import dataclass
 
@@ -66,10 +65,6 @@ class ScriptedBackend:
                 steps.append((record.get("expect", ""), record["response"]))
         return cls(steps)
 
-    @property
-    def remaining(self) -> int:
-        return len(self._steps) - self._pos
-
     def chat(self, turns, params: LlmParams | None = None) -> str:
         prompt = "\n".join(t.content for t in turns)
         if self._pos >= len(self._steps):
@@ -91,8 +86,7 @@ class LiveBackend:
     """Chat-completions client over an OpenAI-style JSON endpoint.
 
     Transient failures (connection errors, 429, 5xx) are retried with
-    exponential backoff. Concurrent calls share a semaphore so in-flight
-    request count stays bounded.
+    exponential backoff.
     """
 
     def __init__(
@@ -103,7 +97,6 @@ class LiveBackend:
         max_attempts: int = 3,
         backoff_s: float = 0.5,
         timeout: float = 120.0,
-        max_concurrency: int = 4,
     ):
         self.endpoint = endpoint
         self.model = model
@@ -111,7 +104,6 @@ class LiveBackend:
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.timeout = timeout
-        self._slots = threading.Semaphore(max_concurrency)
 
     def chat(self, turns, params: LlmParams | None = None) -> str:
         params = params or LlmParams()
@@ -129,10 +121,9 @@ class LiveBackend:
         last_error = None
         for attempt in range(1, self.max_attempts + 1):
             try:
-                with self._slots:
-                    resp = requests.post(
-                        self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                    )
+                resp = requests.post(
+                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                )
                 if resp.status_code == 429 or resp.status_code >= 500:
                     raise requests.HTTPError(f"status {resp.status_code}", response=resp)
                 resp.raise_for_status()

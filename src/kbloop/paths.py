@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .agent import SurfaceTriple, TemplateChat, Trajectory
 from .kb import EntityRecord, KnowledgeBase, Triple, normalize_label
+from .llm import LlmParams
 
 
 @dataclass
@@ -44,9 +45,6 @@ class ReasoningSubgraph:
                 key=lambda pair: (pair[0], self.triples[pair[1]].relation, pair[1])
             )
         return self
-
-    def nodes(self):
-        return self.adjacency.keys()
 
     def incident(self, node: str) -> list[SurfaceTriple]:
         return [self.triples[idx] for _, idx in self.adjacency.get(node, [])]
@@ -154,8 +152,11 @@ def _register_entity_id(kb: KnowledgeBase, surface: str) -> str:
     return eid
 
 
-def parse_reasoning_paths(trajectory: Trajectory, kb: KnowledgeBase, llm) -> ReasoningPath:
-    """Extract the question's reasoning path from a train-mode trajectory.
+def parse_reasoning_paths(
+    trajectory: Trajectory, kb: KnowledgeBase, llm, params: LlmParams | None = None
+) -> ReasoningPath:
+    """Extract the question's reasoning path from a train-mode trajectory,
+    with one ``path_select`` call to the chat backend ``llm`` at ``params``.
 
     Returns an empty path (and skips the fine-tune) when no answer was
     verified or no witness connects a topic entity to a verified answer.
@@ -214,7 +215,7 @@ def parse_reasoning_paths(trajectory: Trajectory, kb: KnowledgeBase, llm) -> Rea
         if t not in candidates:
             candidates.append(t)
 
-    chat = llm if isinstance(llm, TemplateChat) else TemplateChat(llm)
+    chat = TemplateChat(llm, params)
     reply = chat(
         "path_select",
         {

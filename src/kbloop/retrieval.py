@@ -47,13 +47,10 @@ class Document:
 class Bm25Index:
     """Immutable BM25 index; build once, query concurrently."""
 
-    def __init__(self, docs, k1: float = 1.2, b: float = 0.75):
-        if k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if not 0.0 <= b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
-        self.k1 = k1
-        self.b = b
+    k1 = 1.2  # term-frequency saturation
+    b = 0.75  # document-length normalization
+
+    def __init__(self, docs):
         self.docs: list[Document] = list(docs)
         self.term_freqs = [Counter(d.tokens) for d in self.docs]
         self.doc_lens = [len(d.tokens) for d in self.docs]
@@ -80,10 +77,6 @@ class Bm25Index:
                 continue
             total += self.idf[term] * f * (self.k1 + 1.0) / (f + norm)
         return total
-
-
-def build_index(docs, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
-    return Bm25Index(docs, k1=k1, b=b)
 
 
 def top_k(index: Bm25Index, query: str, k: int):
@@ -114,7 +107,7 @@ def link_relation(kb: KnowledgeBase, surface: str) -> RelationId:
         Document(doc_id=rid, text=f"{rec.label} {rec.description}")
         for rid, rec in sorted(kb.relations.items())
     ]
-    hits = top_k(build_index(docs), surface, 1)
+    hits = top_k(Bm25Index(docs), surface, 1)
     if not hits:
         raise RelationLinkError(f"no KB relation matches surface {surface!r}")
     return hits[0][0]
@@ -134,5 +127,5 @@ def retrieve_related_triples(observations, sub_question: str, k: int):
         Document(doc_id=i, text=f"{t.head} {t.relation} {t.tail}")
         for i, t in enumerate(triples)
     ]
-    hits = top_k(build_index(docs), sub_question, k)
+    hits = top_k(Bm25Index(docs), sub_question, k)
     return [triples[i] for i, _ in hits]

@@ -52,12 +52,6 @@ class CannedCompleter:
         preds = self.table.get((query.h, query.r), [])
         return [RankedPrediction(e, s) for e, s in preds[:k] if s != float("-inf")]
 
-    def score_triple(self, t, kb=None):
-        for e, s in self.table.get((t.head, t.relation), []):
-            if e == t.tail:
-                return s
-        return float("-inf")
-
 
 WOODROW_ENTITIES = {
     "Q34296": ("Woodrow Wilson", "28th president of the United States"),

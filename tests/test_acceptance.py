@@ -28,7 +28,7 @@ from kbloop.kb import NOOP_RELATION, Triple, degrade
 from kbloop.llm import LiveBackend, ScriptedBackend
 from kbloop.metrics import hits_at_k, kbqa_hits_at_1, mrr
 from kbloop.paths import build_subgraph, bfs_witness
-from kbloop.retrieval import Document, build_index, top_k
+from kbloop.retrieval import Bm25Index, Document, top_k
 
 from conftest import (
     WOODROW_ENTITIES,
@@ -116,7 +116,7 @@ def test_bm25_matches_brute_force():
         n_docs = rng.randint(1, 100)
         texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 15))) for _ in range(n_docs)]
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
-        index = build_index([Document(i, t) for i, t in enumerate(texts)])
+        index = Bm25Index([Document(i, t) for i, t in enumerate(texts)])
         got = top_k(index, query, n_docs)
         scores = _reference_bm25([re.findall(r"[a-z0-9]+", t.lower()) for t in texts],
                                  re.findall(r"[a-z0-9]+", query.lower()))
@@ -128,7 +128,7 @@ def test_bm25_matches_brute_force():
 
     # tie-break: identical docs must come back in doc_id order
     docs = [Document(i, "same tokens here") for i in (4, 0, 2, 1, 3)]
-    tied = top_k(build_index(docs), "same tokens", 5)
+    tied = top_k(Bm25Index(docs), "same tokens", 5)
     assert [d for d, _ in tied] == [0, 1, 2, 3, 4]
     assert len({s for _, s in tied}) == 1
 
@@ -292,6 +292,9 @@ def test_remote_predictions_stay_in_catalog():
 
 # -- 7 ----------------------------------------------------------------------
 
+# anti-forgetting bound: the largest relative probe-MRR loss a fine-tune may cause
+FORGETTING_TOLERANCE = 0.10
+
 
 def _typed_kb(rng, n_groups=8, group_size=40, n_relations=10, n_triples=2000):
     entities = [f"g{g}e{i}" for g in range(n_groups) for i in range(group_size)]
@@ -350,7 +353,7 @@ def test_replay_finetune_learns_without_forgetting():
     assert len(probe) == 200
 
     config = TrainingConfig(epochs=200, learning_rate=0.01, batch_size=64, seed=0,
-                            finetune_passes=8, forgetting_tolerance=0.10)
+                            finetune_passes=8)
     model = NativeCompleter(kb, dim=64, seed=0)
     model.pretrain(train_triples, kb, config)
 
@@ -368,7 +371,7 @@ def test_replay_finetune_learns_without_forgetting():
     assert improvement >= 0.30, (
         f"mean rank only improved {improvement:.1%} ({rank_before:.1f} -> {rank_after:.1f})"
     )
-    assert degradation <= config.forgetting_tolerance, (
+    assert degradation <= FORGETTING_TOLERANCE, (
         f"probe MRR degraded {degradation:.1%} ({mrr_before:.3f} -> {mrr_after:.3f})"
     )
 

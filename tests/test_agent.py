@@ -6,6 +6,7 @@ import pytest
 from kbloop.agent import (
     ActionParseError,
     AgentConfig,
+    TemplateChat,
     cot_fallback,
     exec_complete,
     exec_finish,
@@ -523,7 +524,7 @@ class TestCotFallback:
 
     def test_parse_multiple_answers(self):
         backend = ScriptedBackend([("", "Answer: Paris | London")])
-        assert cot_fallback("q?", backend) == ["Paris", "London"]
+        assert cot_fallback("q?", TemplateChat(backend)) == ["Paris", "London"]
 
     def test_nonempty_topics_never_fallback(self, woodrow_kb):
         backend = ScriptedBackend(

@@ -5,7 +5,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from kbloop import cli
 from kbloop.cli import main
+from kbloop.kb import KbLoadError
+from kbloop.llm import LlmParams, ScriptedBackend
 
 
 @pytest.fixture()
@@ -124,6 +127,21 @@ class TestPretrainAndEval:
         report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
         assert report["filtered"] is True
 
+    def test_malformed_split_line_is_named(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        split_file = run_dir / "test.tsv"
+        lines = split_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = "e1\tr0\n"
+        split_file.write_text("".join(lines), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, KbLoadError)
+        assert "test.tsv:2" in str(result.exception)
+
 
 class TestAnswer:
     def test_scripted_answer_is_deterministic(self, workspace):
@@ -155,28 +173,46 @@ class TestAnswer:
         assert result.exit_code == 2
 
 
+def write_joint_inputs(tmp_path):
+    """One training question and the script of its episode: a Generate step,
+    a verified Finish, then the path selection."""
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        json.dumps({"question": "what relates to Entity 0?",
+                    "topic_entities": ["e0"], "answers": ["Entity 9"]}) + "\n",
+        encoding="utf-8",
+    )
+    script = tmp_path / "joint_script.jsonl"
+    steps = [
+        {"expect": "what relates to Entity 0?",
+         "response": "Thought 1: inject.\nAction 1: Generate[what links Entity 0?]"},
+        {"expect": "Generated Triples", "response": '"""\n1. Entity 0, rel 0, Entity 9\n"""'},
+        {"expect": "New Triples", "response": '"""\n1. Entity 0, rel 0, Entity 9\n"""'},
+        {"expect": "", "response": "Thought 2: done.\nAction 2: Finish[Entity 9]"},
+        {"expect": "Known triples", "response": "Related triples:\nEntity 0, rel 0, Entity 9"},
+    ]
+    script.write_text("".join(json.dumps(s) + "\n" for s in steps), encoding="utf-8")
+    return qa, script
+
+
+class RecordingBackend:
+    """Scripted replies that record the prompt and parameters of every call."""
+
+    def __init__(self, script):
+        self.inner = ScriptedBackend.from_jsonl(script)
+        self.calls = []
+
+    def chat(self, turns, params=None):
+        self.calls.append((turns[-1].content, params))
+        return self.inner.chat(turns, params)
+
+
 class TestJointAndReport:
     def test_train_joint_scripted_and_report(self, workspace):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
         invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
-
-        qa = tmp_path / "qa.jsonl"
-        qa.write_text(
-            json.dumps({"question": "what relates to Entity 0?",
-                        "topic_entities": ["e0"], "answers": ["Entity 9"]}) + "\n",
-            encoding="utf-8",
-        )
-        script = tmp_path / "joint_script.jsonl"
-        steps = [
-            {"expect": "what relates to Entity 0?",
-             "response": "Thought 1: inject.\nAction 1: Generate[what links Entity 0?]"},
-            {"expect": "Generated Triples", "response": '"""\n1. Entity 0, rel 0, Entity 9\n"""'},
-            {"expect": "New Triples", "response": '"""\n1. Entity 0, rel 0, Entity 9\n"""'},
-            {"expect": "", "response": "Thought 2: done.\nAction 2: Finish[Entity 9]"},
-            {"expect": "Known triples", "response": "Related triples:\nEntity 0, rel 0, Entity 9"},
-        ]
-        script.write_text("".join(json.dumps(s) + "\n" for s in steps), encoding="utf-8")
+        qa, script = write_joint_inputs(tmp_path)
 
         result = invoke(
             "train-joint", "--config", str(config_path), "--run-dir", str(run_dir),
@@ -190,6 +226,26 @@ class TestJointAndReport:
         result = invoke("report", "--run-dir", str(run_dir))
         assert result.exit_code == 0
         assert "avg_llm_calls" in result.output
+
+    def test_train_joint_uses_configured_llm_params(self, workspace, monkeypatch):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config.update(llm_temperature=0.2, llm_max_tokens=99)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        qa, script = write_joint_inputs(tmp_path)
+        backend = RecordingBackend(script)
+        monkeypatch.setattr(cli, "_backend", lambda cfg, scripted: backend)
+
+        result = invoke(
+            "train-joint", "--config", str(config_path), "--run-dir", str(run_dir),
+            "--qa", str(qa), "--scripted", str(script),
+        )
+        assert result.exit_code == 0, result.output
+        assert len(backend.calls) == 5
+        assert "Known triples" in backend.calls[-1][0]  # the path_select call
+        assert all(params == LlmParams(0.2, 99) for _, params in backend.calls)
 
     def test_eval_kbqa_scripted(self, workspace):
         tmp_path, config_path = workspace

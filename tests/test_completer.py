@@ -23,20 +23,10 @@ from kbloop.kb import Triple, UnknownEntityError
 from conftest import make_kb
 
 
-class TestCompletionQuery:
-    def test_exactly_one_slot_absent(self):
-        q = CompletionQuery.tail_query("h", "r")
-        assert (q.h, q.r, q.t) == ("h", "r", None)
-        with pytest.raises(ValueError):
-            CompletionQuery(mode="tail", h="h", r="r", t="t")
-        with pytest.raises(ValueError):
-            CompletionQuery(mode="head", r="r")
-
-
 class TestInputSequence:
     def test_tail_query_layout(self, bieber_kb):
         seq = build_input_sequence(bieber_kb, CompletionQuery.tail_query("Q34086", "P22"))
-        lines = seq.text.splitlines()
+        lines = seq.splitlines()
         assert lines[0] == "predict tail: Justin Bieber | father"
         assert lines[1] == "entity description: Justin Bieber [Canadian singer (born 1994)]"
         assert lines[2] == "related relationship: father"
@@ -48,23 +38,15 @@ class TestInputSequence:
     def test_empty_description_renders_empty_brackets(self):
         kb = make_kb([("e", "r", "x")])
         seq = build_input_sequence(kb, CompletionQuery.tail_query("e", "r"))
-        assert "entity description: e []" in seq.text
+        assert "entity description: e []" in seq
 
     def test_max_context_zero(self, bieber_kb):
         seq = build_input_sequence(bieber_kb, CompletionQuery.tail_query("Q34086", "P22"), 0)
-        assert seq.text.splitlines()[-1] == "context:"
-
-    def test_head_and_relation_modes(self, bieber_kb):
-        head = build_input_sequence(bieber_kb, CompletionQuery.head_query("P25", "Q22092"))
-        assert head.text.startswith("predict head: Pattie Mallette | mother")
-        rel = build_input_sequence(bieber_kb, CompletionQuery.relation_query("Q34086", "Q22092"))
-        assert rel.text.startswith("predict relation: Justin Bieber | Pattie Mallette")
-        # the direct edge between the pair would give the answer away
-        assert "mother" not in rel.text.splitlines()[-1]
+        assert seq.splitlines()[-1] == "context:"
 
     def test_pure_function(self, bieber_kb):
         q = CompletionQuery.tail_query("Q34086", "P22")
-        assert build_input_sequence(bieber_kb, q).text == build_input_sequence(bieber_kb, q).text
+        assert build_input_sequence(bieber_kb, q) == build_input_sequence(bieber_kb, q)
 
     def test_unknown_entity(self, bieber_kb):
         with pytest.raises(UnknownEntityError):
@@ -301,14 +283,6 @@ class TestRemoteCompleter:
         assert payload["num_samples"] == 500
         assert payload["temperature"] == 1.0
         assert payload["sequence"].startswith("predict tail: Justin Bieber | father")
-
-    def test_score_triple_uses_decode_logprob(self, bieber_kb):
-        transport = StubTransport([{"text": "Jeremy Bieber", "logprob": -0.3}])
-        remote = RemoteCompleter(transport=transport)
-        assert remote.score_triple(
-            Triple("Q34086", "P22", "Q16004214"), bieber_kb
-        ) == pytest.approx(-0.3)
-        assert remote.score_triple(Triple("Q34086", "P22", "Q22092"), bieber_kb) == float("-inf")
 
     def test_finetune_wire_shape(self, bieber_kb):
         transport = StubTransport([])

@@ -8,9 +8,9 @@ import pytest
 
 from kbloop.agent import SurfaceTriple
 from kbloop.retrieval import (
+    Bm25Index,
     Document,
     RelationLinkError,
-    build_index,
     link_relation,
     retrieve_related_triples,
     tokenize,
@@ -64,15 +64,15 @@ class TestTokenize:
 
 class TestIndex:
     def test_empty_corpus_scores_nothing(self):
-        index = build_index([])
+        index = Bm25Index([])
         assert top_k(index, "anything", 5) == []
 
     def test_single_doc_tops_any_overlapping_query(self):
-        index = build_index([Document("d0", "justin bieber singer")])
+        index = Bm25Index([Document("d0", "justin bieber singer")])
         assert top_k(index, "who is justin", 3)[0][0] == "d0"
 
     def test_term_presence_beats_absence(self):
-        index = build_index(
+        index = Bm25Index(
             [Document("a", "apple pie recipe"), Document("b", "car engine manual")]
         )
         hits = dict(top_k(index, "apple", 2))
@@ -87,7 +87,7 @@ class TestIndex:
             "plays in london theatres",
             "poems about love and plays and plays",
         ]
-        index = build_index([Document(i, t) for i, t in enumerate(texts)])
+        index = Bm25Index([Document(i, t) for i, t in enumerate(texts)])
         query = "plays poems"
         got = top_k(index, query, 3)
         expected = reference_bm25([tokenize(t) for t in texts], tokenize(query))
@@ -101,17 +101,17 @@ class TestIndex:
 
 class TestTopK:
     def test_k_zero(self):
-        index = build_index([Document("a", "x")])
+        index = Bm25Index([Document("a", "x")])
         assert top_k(index, "x", 0) == []
 
     def test_no_overlap(self):
-        index = build_index([Document("a", "x y z")])
+        index = Bm25Index([Document("a", "x y z")])
         assert top_k(index, "q", 4) == []
 
     def test_tie_break_on_doc_id(self):
         # identical documents score identically; order must be doc_id ascending
         docs = [Document(f"d{j}", "same words here") for j in (3, 1, 2)]
-        index = build_index(docs)
+        index = Bm25Index(docs)
         assert [d for d, _ in top_k(index, "same words", 3)] == ["d1", "d2", "d3"]
 
     def test_random_corpora_match_reference(self):
@@ -123,7 +123,7 @@ class TestTopK:
                 " ".join(rng.choices(vocab, k=rng.randint(1, 12))) for _ in range(n_docs)
             ]
             query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
-            index = build_index([Document(i, t) for i, t in enumerate(texts)])
+            index = Bm25Index([Document(i, t) for i, t in enumerate(texts)])
             got = top_k(index, query, n_docs)
             expected = reference_bm25([simple_tokens(t) for t in texts], simple_tokens(query))
             want = sorted(
@@ -137,9 +137,9 @@ class TestTopK:
     def test_irrelevant_document_keeps_positive_set(self):
         texts = ["alpha beta", "beta gamma", "gamma delta"]
         query = "beta"
-        before = build_index([Document(i, t) for i, t in enumerate(texts)])
+        before = Bm25Index([Document(i, t) for i, t in enumerate(texts)])
         positive = [d for d, _ in top_k(before, query, len(texts))]
-        after = build_index(
+        after = Bm25Index(
             [Document(i, t) for i, t in enumerate(texts + ["zeta eta theta"])]
         )
         kept = [d for d, _ in top_k(after, query, len(positive))]
