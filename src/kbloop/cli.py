@@ -23,7 +23,10 @@ from .llm import LiveBackend, ScriptedBackend
 def _load_run_config(config_path, **overrides) -> config_mod.RunConfig:
     if config_path is not None and not Path(config_path).exists():
         raise click.UsageError(f"config file not found: {config_path}")
-    return config_mod.load_config(config_path, overrides)
+    try:
+        return config_mod.load_config(config_path, overrides)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _full_kb(cfg: config_mod.RunConfig) -> kb_mod.KnowledgeBase:
@@ -69,7 +72,13 @@ def _completer(cfg, run_dir=None, kb=None, require_checkpoint=False):
         )
     checkpoint = Path(run_dir) / "completer.npz" if run_dir else None
     if checkpoint and checkpoint.exists():
-        return NativeCompleter.load(checkpoint)
+        completer = NativeCompleter.load(checkpoint)
+        if completer.entity_ids != sorted(kb.entities):
+            raise click.UsageError(
+                f"completer checkpoint {checkpoint} does not match the KB's entities; "
+                "run `kbloop pretrain` again"
+            )
+        return completer
     if require_checkpoint:
         raise click.UsageError(f"no completer checkpoint in {run_dir}; run `kbloop pretrain` first")
     return NativeCompleter(kb, dim=cfg.embedding_dim, seed=cfg.seed)
@@ -83,7 +92,18 @@ def _emit_report(run_dir, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a KB input error (a malformed file, an unknown id) as a
+    one-line CLI error with exit code 1, for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except kb_mod.KbError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("-v", "--verbose", is_flag=True, help="Log progress to stderr.")
 def main(verbose):
     """Joint knowledge-base completion and question answering."""

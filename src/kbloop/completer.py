@@ -159,24 +159,6 @@ class NativeCompleter:
         except KeyError:
             raise UnknownRelationError(f"relation {r!r} not in completer vocabulary") from None
 
-    def register_symbols(self, entities=(), relations=()) -> None:
-        """Add fresh embedding rows for unseen entity/relation ids."""
-        bound = 1.0 / math.sqrt(self.dim)
-        new_e = sorted(e for e in set(entities) if e not in self._ent_index)
-        new_r = sorted(r for r in set(relations) if r not in self._rel_index)
-        if new_e:
-            rows = self._rng.uniform(-bound, bound, (len(new_e), self.dim))
-            self.entity_vecs = np.vstack([self.entity_vecs, rows])
-            for e in new_e:
-                self._ent_index[e] = len(self.entity_ids)
-                self.entity_ids.append(e)
-        if new_r:
-            rows = self._rng.uniform(-bound, bound, (len(new_r), self.dim))
-            self.relation_vecs = np.vstack([self.relation_vecs, rows])
-            for r in new_r:
-                self._rel_index[r] = len(self.relation_ids)
-                self.relation_ids.append(r)
-
     # -- training ---------------------------------------------------------
 
     def _encode(self, triples) -> np.ndarray:
@@ -251,10 +233,12 @@ class NativeCompleter:
     ) -> "NativeCompleter":
         """Fine-tune on new triples mixed with a replay sample.
 
-        Draws ``samples_per_triple`` replay triples per new triple, registers
-        any unseen symbols, then runs ``config.finetune_passes`` minibatch
-        sweeps over the combined sample. Empty input is a no-op and leaves the
-        model bit-identical.
+        Draws ``samples_per_triple`` replay triples per new triple, then runs
+        ``config.finetune_passes`` minibatch sweeps over the combined sample.
+        Empty input is a no-op and leaves the model bit-identical. The
+        vocabulary is fixed at construction: a triple naming an entity or
+        relation outside it raises :class:`UnknownEntityError` or
+        :class:`UnknownRelationError` before any weight moves.
         """
         path_triples = list(path_triples)
         if not path_triples:
@@ -262,10 +246,6 @@ class NativeCompleter:
         if not self.trained:
             raise ModelStateError("incremental fine-tuning requires a pretrained model")
         config = config or TrainingConfig()
-        self.register_symbols(
-            entities=[e for t in path_triples for e in (t.head, t.tail)],
-            relations=[t.relation for t in path_triples],
-        )
         replay = memory.sample(len(path_triples) * samples_per_triple)
         combined = self._encode(path_triples + replay)
         self._run_passes(combined, config, config.finetune_passes)
@@ -278,14 +258,15 @@ class NativeCompleter:
             raise ModelStateError("model has not been trained")
 
     def predict(self, query: CompletionQuery, kb: KnowledgeBase, k: int) -> list[RankedPrediction]:
-        """Top-k tail candidates, descending score, ties by id ascending."""
+        """Top-k tail candidates, descending score, ties by id ascending (rows
+        are in id order, so the stable sort keeps ties in id order)."""
         self._require_trained()
         if k < 1:
             raise ValueError("k must be >= 1")
         u = self.entity_vecs[self._eidx(query.h)] * self.relation_vecs[self._ridx(query.r)]
-        ids, scores = self.entity_ids, self.entity_vecs @ u
-        order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-        return [RankedPrediction(ids[i], float(scores[i])) for i in order[:k]]
+        scores = self.entity_vecs @ u
+        order = np.argsort(-scores, kind="stable")[:k]
+        return [RankedPrediction(self.entity_ids[i], float(scores[i])) for i in order]
 
     def score_triple(self, t: Triple, kb: KnowledgeBase | None = None) -> float:
         self._require_trained()

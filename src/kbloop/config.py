@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .agent import AgentConfig
@@ -60,8 +60,6 @@ class RunConfig:
     llm_temperature: float = 0.7
     llm_max_tokens: int = 256
 
-    extras: dict = field(default_factory=dict)
-
     def agent_config(self) -> AgentConfig:
         return AgentConfig(
             max_thoughts=self.max_thoughts,
@@ -85,32 +83,32 @@ class RunConfig:
         return LlmParams(temperature=self.llm_temperature, max_tokens=self.llm_max_tokens)
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data.pop("extras")
-        data.update(self.extras)
-        return data
+        return asdict(self)
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a config from an optional flat JSON file and override pairs.
 
-    Unknown keys are kept in ``extras`` rather than rejected, so configs can
-    carry harness-specific annotations. Environment variables supply the chat
+    A file that does not hold a JSON object, and an unknown key, raise
+    :class:`ValueError`. Environment variables supply the chat
     endpoint/model/credential when the file and overrides leave them empty.
     """
     data = {}
     if path is not None:
         raw = Path(path).read_text(encoding="utf-8")
-        data = json.loads(raw)
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} must hold a flat JSON object")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
 
-    known = {f.name for f in fields(RunConfig) if f.name != "extras"}
-    kwargs = {k: v for k, v in data.items() if k in known}
-    extras = {k: v for k, v in data.items() if k not in known}
-    config = RunConfig(**kwargs, extras=extras)
+    unknown = sorted(data.keys() - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    config = RunConfig(**data)
 
     if not config.llm_endpoint:
         config.llm_endpoint = os.environ.get(ENV_LLM_ENDPOINT, "")

@@ -18,7 +18,7 @@ from pathlib import Path
 from .agent import AgentConfig, EpisodeAborted, run_episode
 from .completer import ReplayMemory, TrainingConfig
 from .kb import KnowledgeBase
-from .llm import LlmParams
+from .llm import LlmParams, LlmTransportError
 from .paths import ReasoningPath, parse_reasoning_paths
 
 logger = logging.getLogger(__name__)
@@ -85,8 +85,9 @@ def train_joint(
 
     The replay memory samples ``pretrain_triples``, which also pretrain the
     completer if it is untrained. Every chat call, the episode's and
-    ``path_select``'s alike, runs with ``params``. Questions that fail with a
-    transport or parse error are logged and skipped; the loop continues.
+    ``path_select``'s alike, runs with ``params``. A chat transport failure,
+    in the episode or in ``path_select``, skips the question: it is logged and
+    recorded with its error and no fine-tune, and the loop continues.
     ``sink`` receives each :class:`JointRecord` as it is produced (used for
     persistence).
     """
@@ -99,6 +100,7 @@ def train_joint(
 
     result = JointResult(completer=completer)
     for idx, example in enumerate(qa_train):
+        path, error = None, ""
         try:
             trajectory = run_episode(
                 example.question,
@@ -110,28 +112,24 @@ def train_joint(
                 gold_answers=list(example.gold_answers),
                 params=params,
             )
+            if example.topic_entities:  # fallback-answered questions yield no path
+                path = parse_reasoning_paths(trajectory, kb, llm, params)
         except EpisodeAborted as exc:
-            logger.warning("question %d aborted: %s", idx, exc)
-            record = JointRecord(trajectory=exc.trajectory, path=None, finetuned=False, error=str(exc))
-            result.records.append(record)
-            if sink:
-                sink(record)
-            continue
-
-        path = None
-        finetuned = False
-        if example.topic_entities:  # fallback-answered questions yield no path
-            path = parse_reasoning_paths(trajectory, kb, llm, params)
-            if path.triples:
-                completer.incremental_finetune(
-                    path.triples,
-                    replay_memory,
-                    samples_per_triple=samples_per_triple,
-                    kb=kb,
-                    config=train_config,
-                )
-                finetuned = True
-        record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned)
+            trajectory, error = exc.trajectory, str(exc)
+        except LlmTransportError as exc:  # the path_select call
+            error = str(exc)
+        if error:
+            logger.warning("question %d skipped: %s", idx, error)
+        finetuned = bool(path and path.triples)
+        if finetuned:
+            completer.incremental_finetune(
+                path.triples,
+                replay_memory,
+                samples_per_triple=samples_per_triple,
+                kb=kb,
+                config=train_config,
+            )
+        record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error)
         result.records.append(record)
         if sink:
             sink(record)

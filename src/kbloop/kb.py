@@ -5,10 +5,10 @@ surface records (labels, descriptions) for entities and relations. The
 reserved relation ``noop`` marks the self-loop attached to entities left
 without edges after degradation, so no entity ever disappears from the graph.
 
-The store is built single-threaded and is safe for concurrent readers
-afterwards. The only post-construction mutation is :meth:`KnowledgeBase.register_entity`,
-used by the joint-training loop when a reasoning path introduces a new entity
-(single writer).
+The store is immutable after construction: its entities, relations and
+triples are fixed when it is built, so it is safe for concurrent readers, and
+a completer built over it keeps the same vocabulary for its whole life. A
+different triple set is a new store (:meth:`KnowledgeBase.with_triples`).
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ class KbLoadError(KbError):
 
 
 class UnknownEntityError(KbError):
-    """Lookup of an entity id that is not registered."""
+    """Lookup of an entity id that is not in the KB."""
 
 
 class UnknownRelationError(KbError):
-    """Lookup of a relation id that is not registered."""
+    """Lookup of a relation id that is not in the KB."""
 
 
 def normalize_label(surface: str) -> str:
@@ -88,6 +88,8 @@ class KnowledgeBase:
       * ``out_index``: head id -> triples with that head
       * ``in_index``: tail id -> triples with that tail
       * ``_catalog``: normalized entity label -> sorted entity ids (:meth:`lookup_label`)
+      * ``_relation_catalog``: normalized relation label -> sorted relation ids
+        (:meth:`lookup_relation_label`)
     """
 
     def __init__(self, entities, relations, triples):
@@ -95,7 +97,9 @@ class KnowledgeBase:
         self.relations: dict[RelationId, RelationRecord] = {}
         self._catalog: dict[str, list[EntityId]] = {}
         for rec in entities:
-            self.register_entity(rec)
+            self._add_entity(rec)
+        for ids in self._catalog.values():
+            ids.sort()
         for rec in relations:
             if not rec.label:
                 raise KbLoadError(f"relation {rec.id!r} has an empty label")
@@ -104,6 +108,9 @@ class KnowledgeBase:
             self.relations[NOOP_RELATION] = RelationRecord(
                 NOOP_RELATION, NOOP_RELATION, "self-loop placeholder for isolated entities"
             )
+        self._relation_catalog: dict[str, list[RelationId]] = {}
+        for r, rec in sorted(self.relations.items()):
+            self._relation_catalog.setdefault(normalize_label(rec.label), []).append(r)
 
         self.triples: set[Triple] = set()
         self.out_index: dict[EntityId, list[Triple]] = {}
@@ -125,7 +132,7 @@ class KnowledgeBase:
 
     # -- construction ----------------------------------------------------
 
-    def register_entity(self, rec: EntityRecord) -> None:
+    def _add_entity(self, rec: EntityRecord) -> None:
         if not rec.id:
             raise KbLoadError("entity id must be non-empty")
         if not rec.label:
@@ -133,10 +140,7 @@ class KnowledgeBase:
         if rec.id in self.entities:
             raise KbLoadError(f"duplicate entity id {rec.id!r}")
         self.entities[rec.id] = rec
-        key = normalize_label(rec.label)
-        ids = self._catalog.setdefault(key, [])
-        ids.append(rec.id)
-        ids.sort()
+        self._catalog.setdefault(normalize_label(rec.label), []).append(rec.id)
 
     def _add_triple(self, t: Triple) -> None:
         if t.head not in self.entities:
@@ -181,10 +185,8 @@ class KnowledgeBase:
         return tuple(self._catalog.get(normalize_label(surface), ()))
 
     def lookup_relation_label(self, surface: str) -> tuple[RelationId, ...]:
-        key = normalize_label(surface)
-        return tuple(
-            sorted(r for r, rec in self.relations.items() if normalize_label(rec.label) == key)
-        )
+        """All relation ids whose label matches ``surface`` (normalized), sorted."""
+        return tuple(self._relation_catalog.get(normalize_label(surface), ()))
 
     # -- graph queries ----------------------------------------------------
 

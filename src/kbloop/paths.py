@@ -4,9 +4,9 @@ Pipeline: drop observations that only backed wrong answers, pool the
 remaining observation triples into a subgraph, find shortest undirected
 witnesses from each topic entity to each verified answer, expand every
 on-path entity with its one-hop subgraph triples, and let the model pick the
-final set. Surviving triples must carry a linked relation; surface entities
-unknown to the KB are registered at acceptance time so the result is always
-a legal fine-tuning sample.
+final set. Surviving triples must carry a linked relation and name catalog
+entities at both ends, so the result is always a legal fine-tuning sample
+for a completer built over the same KB.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .agent import SurfaceTriple, TemplateChat, Trajectory
-from .kb import EntityRecord, KnowledgeBase, Triple, normalize_label
+from .kb import KnowledgeBase, Triple, normalize_label
 from .llm import LlmParams
 
 
@@ -138,20 +138,6 @@ def _parse_selected_triples(reply: str):
     return selected
 
 
-def _register_entity_id(kb: KnowledgeBase, surface: str) -> str:
-    ids = kb.lookup_label(surface)
-    if ids:
-        return ids[0]
-    base = "gen:" + normalize_label(surface).replace(" ", "_")
-    eid = base
-    suffix = 1
-    while eid in kb.entities:
-        suffix += 1
-        eid = f"{base}#{suffix}"
-    kb.register_entity(EntityRecord(eid, surface, ""))
-    return eid
-
-
 def parse_reasoning_paths(
     trajectory: Trajectory, kb: KnowledgeBase, llm, params: LlmParams | None = None
 ) -> ReasoningPath:
@@ -160,7 +146,9 @@ def parse_reasoning_paths(
 
     Returns an empty path (and skips the fine-tune) when no answer was
     verified or no witness connects a topic entity to a verified answer.
-    New surface entities on accepted triples are registered into the KB.
+    A selected triple is dropped, with a note, when its relation is unlinked
+    or a surface at either end names no KB entity; a label shared by several
+    entities resolves to the first id.
     """
     path = ReasoningPath(triples=[], source_question=trajectory.question)
     if trajectory.mode != "train" or trajectory.stop_reason != "finish":
@@ -242,9 +230,11 @@ def parse_reasoning_paths(
         if t.relation_id is None:
             path.notes.append(f"unlinked relation dropped: {t.as_text()}")
             continue
-        head_id = _register_entity_id(kb, t.head)
-        tail_id = _register_entity_id(kb, t.tail)
-        triple = Triple(head_id, t.relation_id, tail_id)
+        head_ids, tail_ids = kb.lookup_label(t.head), kb.lookup_label(t.tail)
+        if not head_ids or not tail_ids:
+            path.notes.append(f"unknown entity dropped: {t.as_text()}")
+            continue
+        triple = Triple(head_ids[0], t.relation_id, tail_ids[0])
         if triple not in seen:
             seen.add(triple)
             path.triples.append(triple)

@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 from kbloop import cli
 from kbloop.cli import main
-from kbloop.kb import KbLoadError
 from kbloop.llm import LlmParams, ScriptedBackend
 
 
@@ -70,6 +69,29 @@ class TestPrepare:
         )
         assert result.exit_code == 2
         assert "nope.json" in result.output
+
+    def test_malformed_triples_line_is_named(self, workspace):
+        tmp_path, config_path = workspace
+        with open(tmp_path / "triples.tsv", "a", encoding="utf-8") as fh:
+            fh.write("e1\tr0\n")
+        n_lines = len((tmp_path / "triples.tsv").read_text(encoding="utf-8").splitlines())
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 1
+        assert f"triples.tsv:{n_lines}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_unknown_config_key_exits_2(self, workspace):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["learning_rat"] = 0.05
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 2
+        assert "learning_rat" in result.output
 
     def test_unknown_subcommand_exits_2(self):
         result = CliRunner().invoke(main, ["frobnicate"])
@@ -139,8 +161,19 @@ class TestPretrainAndEval:
             main, ["eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir)],
         )
         assert result.exit_code == 1
-        assert isinstance(result.exception, KbLoadError)
-        assert "test.tsv:2" in str(result.exception)
+        assert "test.tsv:2" in result.output
+
+    def test_checkpoint_from_another_kb_is_usage_error(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        with open(tmp_path / "entities.tsv", "a", encoding="utf-8") as fh:
+            fh.write("e40\tEntity 40\tdescription 40\n")
+        result = CliRunner().invoke(
+            main, ["eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir)],
+        )
+        assert result.exit_code == 2
+        assert "completer.npz" in result.output
 
 
 class TestAnswer:
@@ -273,3 +306,56 @@ class TestJointAndReport:
     def test_report_empty_dir_is_usage_error(self, tmp_path):
         result = CliRunner().invoke(main, ["report", "--run-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+
+class TestFixedVocabulary:
+    """A path triple naming a surface the KB lacks must not reach the
+    completer: the next command rebuilds the KB from the run directory."""
+
+    def test_unknown_path_entity_never_reaches_eval(self, tmp_path):
+        labels = {"a": "Alpha", "b": "Beta", "c": "Gamma", "d": "Delta"}
+        (tmp_path / "entities.tsv").write_text(
+            "".join(f"{e}\t{label}\n" for e, label in labels.items()), encoding="utf-8"
+        )
+        (tmp_path / "relations.tsv").write_text("p\tlikes\n", encoding="utf-8")
+        (tmp_path / "triples.tsv").write_text(
+            "a\tp\tb\nb\tp\tc\nc\tp\td\nd\tp\ta\n", encoding="utf-8"
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "triples_path": str(tmp_path / "triples.tsv"),
+            "entities_path": str(tmp_path / "entities.tsv"),
+            "relations_path": str(tmp_path / "relations.tsv"),
+            "n_test": 1, "keep_fraction": 1.0, "embedding_dim": 4, "epochs": 2,
+        }), encoding="utf-8")
+        run_dir = tmp_path / "run"
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        for cmd in (["kb", "prepare"], ["pretrain"]):
+            assert invoke(*cmd, *cfg).exit_code == 0
+
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(json.dumps({"question": "whom does Alpha like?",
+                                  "topic_entities": ["a"], "answers": ["Omega"]}) + "\n",
+                      encoding="utf-8")
+        script = tmp_path / "joint_script.jsonl"
+        steps = [
+            {"expect": "whom does Alpha like?",
+             "response": "Thought 1: ask.\nAction 1: Generate[whom does Alpha like?]"},
+            {"expect": "Generated Triples", "response": '"""\n1. Alpha, likes, Omega\n"""'},
+            {"expect": "New Triples", "response": '"""\n1. Alpha, likes, Omega\n"""'},
+            {"expect": "", "response": "Thought 2: done.\nAction 2: Finish[Omega]"},
+            {"expect": "Known triples", "response": "Related triples:\nAlpha, likes, Omega"},
+        ]
+        script.write_text("".join(json.dumps(s) + "\n" for s in steps), encoding="utf-8")
+        result = invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        assert result.exit_code == 0, result.output
+        assert "0 fine-tune updates" in result.output
+        assert "gen:" not in (run_dir / "paths.jsonl").read_text(encoding="utf-8")
+
+        script.write_text("".join(json.dumps(s) + "\n" for s in [
+            {"expect": "whom does Alpha like?",
+             "response": "Thought 1: ask.\nAction 1: Complete[Alpha | likes]"},
+            {"expect": "", "response": "Thought 2: done.\nAction 2: Finish[Beta]"},
+        ]), encoding="utf-8")
+        result = invoke("eval-kbqa", *cfg, "--qa", str(qa), "--scripted", str(script))
+        assert result.exit_code == 0, result.output

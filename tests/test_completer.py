@@ -140,6 +140,23 @@ class TestNativePredict:
         with pytest.raises(UnknownEntityError):
             model.score_triple(Triple("nope", "r", "e1"))
 
+    def test_ties_ordered_by_id(self):
+        # e10 and e9 tie at the top and every other tail but e0 ties at zero;
+        # integer-valued rows make the tied scores exactly equal
+        kb = make_kb([(f"e{i}", "r", f"e{(i + 1) % 40}") for i in range(40)])
+        model = NativeCompleter(kb, dim=2, seed=0)
+        model.entity_vecs = np.zeros((len(kb.entities), 2))
+        model.relation_vecs = np.ones((len(kb.relations), 2))
+        for e, value in (("e0", 1.0), ("e9", 2.0), ("e10", 2.0)):
+            model.entity_vecs[model.entity_ids.index(e)] = (value, 0.0)
+        model.trained = True
+        query = CompletionQuery.tail_query("e0", "r")
+        assert [p.entity for p in model.predict(query, kb, 1)] == ["e10"]
+        preds = model.predict(query, kb, len(kb.entities))
+        zeros = sorted(set(kb.entities) - {"e0", "e9", "e10"})
+        assert [p.entity for p in preds] == ["e10", "e9", "e0", *zeros]
+        assert [p.score for p in preds[:3]] == [2.0, 2.0, 1.0]
+
 
 class TestReplayMemory:
     def test_distinct_uniform_draws(self):
@@ -199,14 +216,17 @@ class TestIncrementalFinetune:
         model.incremental_finetune([new], memory, 10, kb, TrainingConfig(finetune_passes=5))
         assert model.score_triple(new) > before
 
-    def test_new_symbols_registered(self):
+    def test_unknown_entity_raises_before_any_update(self):
         kb, model = self.pretrained()
+        before_e = model.entity_vecs.copy()
+        before_r = model.relation_vecs.copy()
         memory = ReplayMemory(sorted(kb.triples), seed=0)
         path = [Triple("brand_new", "r", "e0")]
-        model.incremental_finetune(path, memory, 10, kb, TrainingConfig(finetune_passes=1))
-        assert "brand_new" in model.entity_ids
-        preds = model.predict(CompletionQuery.tail_query("brand_new", "r"), kb, 3)
-        assert len(preds) == 3
+        with pytest.raises(UnknownEntityError):
+            model.incremental_finetune(path, memory, 10, kb, TrainingConfig(finetune_passes=1))
+        assert "brand_new" not in model.entity_ids
+        assert np.array_equal(model.entity_vecs, before_e)
+        assert np.array_equal(model.relation_vecs, before_r)
 
     def test_requires_pretraining(self):
         kb = toy_kb()

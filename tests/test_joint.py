@@ -1,6 +1,7 @@
 """Joint loop: episodes feed reasoning paths into incremental fine-tuning."""
 
 import numpy as np
+import pytest
 
 from kbloop.completer import CompletionQuery, NativeCompleter, TrainingConfig
 from kbloop.joint import QaExample, RunLog, load_qa_examples, run_joint_training, train_joint
@@ -107,13 +108,23 @@ class TestTrainJoint:
         assert record.trajectory.stop_reason == "cot"
         assert record.path is None and not record.finetuned
 
-    def test_transport_failure_skips_question(self):
+    @pytest.mark.parametrize(
+        "failing_call, script",
+        [
+            # the first agent call of question one
+            (1, generate_episode_script("E1", "E7")),
+            # question one's path_select call, after a verified episode
+            (5, generate_episode_script("E0", "E5")[:4] + generate_episode_script("E1", "E7")),
+        ],
+        ids=["first_agent_call", "path_select"],
+    )
+    def test_transport_failure_skips_question(self, failing_call, script):
         kb = chain_kb()
         pretrain = sorted(kb.triples)
         model = NativeCompleter(kb, dim=16, seed=0)
         model.pretrain(pretrain, kb, TrainingConfig(epochs=5, seed=0))
 
-        inner = ScriptedBackend(generate_episode_script("E1", "E7"))
+        inner = ScriptedBackend(script)
 
         class FlakyBackend:
             def __init__(self):
@@ -121,7 +132,7 @@ class TestTrainJoint:
 
             def chat(self, turns, params=None):
                 self.calls += 1
-                if self.calls == 1:
+                if self.calls == failing_call:
                     raise LlmTransportError("boom")
                 return inner.chat(turns, params)
 
@@ -134,6 +145,7 @@ class TestTrainJoint:
             pretrain_triples=pretrain,
         )
         assert result.records[0].error
+        assert result.records[0].path is None
         assert not result.records[0].finetuned
         assert result.records[1].finetuned
 

@@ -176,13 +176,24 @@ class TestParseReasoningPaths:
         occupations = [t for t in path.triples if t.relation == "P106"]
         assert len(occupations) == 3  # writer, merchant, politician
 
-    def test_new_entities_registered(self):
-        kb, trajectory, backend = self.shakespeare_setup()
-        # "writer"-style labels exist; "merchant"/"politician" already exist too,
-        # so force a truly new label through the selection
-        assert kb.lookup_label("merchant")
-        parse_reasoning_paths(trajectory, kb, backend)
-        assert kb.lookup_label("writer")
+    def test_unknown_entity_dropped(self):
+        kb = make_kb([("a", "r", "b")], entities={"a": ("Alpha", ""), "b": ("Beta", "")})
+        trajectory = make_trajectory(
+            [
+                ("search", [st("Alpha", "r", "Beta", "r")]),
+                ("generate", [st("Beta", "r", "Omega", "r")]),
+            ],
+            predicted=["Beta"], verified=["Beta"], topics=["a"],
+        )
+        backend = ScriptedBackend(
+            [("Known triples", "Related triples:\nAlpha, r, Beta\nBeta, r, Omega")]
+        )
+        n_entities = len(kb.entities)
+        path = parse_reasoning_paths(trajectory, kb, backend)
+        assert path.triples == [Triple("a", "r", "b")]
+        assert "unknown entity dropped: Beta, r, Omega" in path.notes
+        assert len(kb.entities) == n_entities
+        assert all(e in kb.entities for t in path.triples for e in (t.head, t.tail))
 
     def test_direct_edge_single_triple(self):
         kb = make_kb([("a", "r", "b")], entities={"a": ("Alpha", ""), "b": ("Beta", "")})
