@@ -27,7 +27,7 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from .completer import CompletionQuery
+from .completer import CompleterTransportError, CompletionQuery
 from .kb import KnowledgeBase, normalize_label
 from .llm import ChatTurn, LlmParams, LlmTransportError
 from .prompts import get_template, render
@@ -461,8 +461,8 @@ def run_episode(
     ``gold_answers`` switches training mode on: the prompt carries the
     reference answers and the finish step filters predictions against them.
     Questions without topic entities route to the chain-of-thought fallback.
-    Transport failures raise :class:`EpisodeAborted` carrying the partial
-    trajectory.
+    Transport failures, of the chat backend or of the completer, raise
+    :class:`EpisodeAborted` carrying the partial trajectory.
     """
     config = config or AgentConfig()
     mode = "train" if gold_answers is not None else "infer"
@@ -548,7 +548,7 @@ def run_episode(
         trajectory.final_answers = ["unknown"]
         trajectory.stop_reason = "budget"
         trajectory.notes.append("call budget exhausted")
-    except LlmTransportError as exc:
+    except (LlmTransportError, CompleterTransportError) as exc:
         trajectory.llm_call_count = chat.calls
         trajectory.wall_time_s = time.perf_counter() - started
         raise EpisodeAborted(str(exc), trajectory) from exc

@@ -42,12 +42,11 @@ def _write_triples(path, triples) -> None:
             fh.write(f"{t.head}\t{t.relation}\t{t.tail}\n")
 
 
-def _working_kb(cfg, run_dir) -> kb_mod.KnowledgeBase:
-    working = Path(run_dir) / "working_triples.tsv"
-    if not working.exists():
+def _working_kb(run_dir) -> kb_mod.KnowledgeBase:
+    paths = [Path(run_dir) / name for name in ("working_triples.tsv", "entities.tsv", "relations.tsv")]
+    if not all(p.exists() for p in paths):
         raise click.UsageError(f"no prepared KB in {run_dir}; run `kbloop kb prepare` first")
-    full = _full_kb(cfg)
-    return full.with_triples(kb_mod.read_triples(working))
+    return kb_mod.load_kb(*paths)
 
 
 def _backend(cfg, scripted):
@@ -146,6 +145,8 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
     _write_triples(out / "valid.tsv", bundle.valid)
     _write_triples(out / "test.tsv", bundle.test)
     _write_triples(out / "working_triples.tsv", working)
+    (out / "entities.tsv").write_bytes(Path(cfg.entities_path).read_bytes())
+    (out / "relations.tsv").write_bytes(Path(cfg.relations_path).read_bytes())
     config_mod.snapshot(cfg, out)
     click.echo(
         f"prepared KB: train={len(bundle.train)} valid={len(bundle.valid)} "
@@ -159,10 +160,10 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
 def pretrain(config_path, run_dir):
     """Pretrain the completer on the prepared (degraded) training graph."""
     cfg = _load_run_config(config_path)
-    working_kb = _working_kb(cfg, run_dir)
+    working_kb = _working_kb(run_dir)
     completer = _completer(cfg, kb=working_kb)
     started = time.perf_counter()
-    completer.pretrain(sorted(working_kb.triples), working_kb, cfg.training_config())
+    completer.pretrain(working_kb.triples, working_kb, cfg.training_config())
     if hasattr(completer, "save"):
         completer.save(Path(run_dir) / "completer.npz")
     click.echo(f"pretrained completer in {time.perf_counter() - started:.1f}s")
@@ -177,11 +178,10 @@ def pretrain(config_path, run_dir):
 def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
     """Run the joint loop: episodes, path parsing, incremental fine-tuning."""
     cfg = _load_run_config(config_path)
-    working_kb = _working_kb(cfg, run_dir)
+    working_kb = _working_kb(run_dir)
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
     backend = _backend(cfg, scripted)
     qa_train = joint_mod.load_qa_examples(qa_path)
-    pretrain_triples = sorted(working_kb.triples)
     result = joint_mod.run_joint_training(
         run_dir,
         working_kb,
@@ -192,7 +192,7 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
         agent_config=cfg.agent_config(),
         train_config=cfg.training_config(),
         samples_per_triple=cfg.replay_samples_per_triple,
-        pretrain_triples=pretrain_triples,
+        pretrain_triples=working_kb.triples,
         params=cfg.llm_params(),
     )
     finetuned = sum(1 for r in result.records if r.finetuned)
@@ -213,7 +213,7 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
         cutoffs = sorted({int(x) for x in ks.split(",") if x.strip()})
     except ValueError:
         raise click.UsageError(f"bad --k list: {ks!r}")
-    working_kb = _working_kb(cfg, run_dir)
+    working_kb = _working_kb(run_dir)
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb, require_checkpoint=True)
     queries = kb_mod.read_triples(Path(run_dir) / f"{split_name}.tsv")
     if limit:
@@ -253,7 +253,7 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
 def answer(config_path, run_dir, question, topic, scripted):
     """Answer one question with the agent loop."""
     cfg = _load_run_config(config_path)
-    working_kb = _working_kb(cfg, run_dir) if run_dir else _full_kb(cfg)
+    working_kb = _working_kb(run_dir) if run_dir else _full_kb(cfg)
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
     backend = _backend(cfg, scripted)
     topics = [t.strip() for t in topic.split(",") if t.strip()]
@@ -276,7 +276,7 @@ def answer(config_path, run_dir, question, topic, scripted):
 def eval_kbqa(config_path, run_dir, qa_path, scripted):
     """Run inference episodes over a QA set and report Hits@1 + efficiency."""
     cfg = _load_run_config(config_path)
-    working_kb = _working_kb(cfg, run_dir)
+    working_kb = _working_kb(run_dir)
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
     backend = _backend(cfg, scripted)
     examples = joint_mod.load_qa_examples(qa_path)

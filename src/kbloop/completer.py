@@ -178,24 +178,25 @@ class NativeCompleter:
         eh = self.entity_vecs[h]
         wr = self.relation_vecs[r]
         u = eh * wr                                   # (B, d)
-        logits = u @ self.entity_vecs.T               # (B, |E|)
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        probs = u @ self.entity_vecs.T                # logits, (B, |E|), softmaxed in place
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
         n = len(batch)
         loss = -np.mean(np.log(probs[np.arange(n), t] + 1e-12))
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss on batch of size {n}")
 
-        dlogits = probs
-        dlogits[np.arange(n), t] -= 1.0
-        du = dlogits @ self.entity_vecs               # (B, d)
-        grad_e = dlogits.T @ u                        # candidate side, (|E|, d)
+        probs[np.arange(n), t] -= 1.0                 # now d(loss)/d(logits)
+        du = probs @ self.entity_vecs                 # (B, d)
+        grad_e = probs.T @ u                          # candidate side, (|E|, d)
         np.add.at(grad_e, h, du * wr)
         grad_w = np.zeros_like(self.relation_vecs)
         np.add.at(grad_w, r, du * eh)
-        self.entity_vecs -= lr * grad_e
-        self.relation_vecs -= lr * grad_w
+        grad_e *= lr
+        grad_w *= lr
+        self.entity_vecs -= grad_e
+        self.relation_vecs -= grad_w
         return float(loss)
 
     def _run_passes(self, encoded: np.ndarray, config: TrainingConfig, n_passes: int) -> list[float]:

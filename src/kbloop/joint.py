@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agent import AgentConfig, EpisodeAborted, run_episode
-from .completer import ReplayMemory, TrainingConfig
+from .completer import CompleterTransportError, ReplayMemory, TrainingConfig
 from .kb import KnowledgeBase
 from .llm import LlmParams, LlmTransportError
 from .paths import ReasoningPath, parse_reasoning_paths
@@ -85,9 +85,9 @@ def train_joint(
 
     The replay memory samples ``pretrain_triples``, which also pretrain the
     completer if it is untrained. Every chat call, the episode's and
-    ``path_select``'s alike, runs with ``params``. A chat transport failure,
-    in the episode or in ``path_select``, skips the question: it is logged and
-    recorded with its error and no fine-tune, and the loop continues.
+    ``path_select``'s alike, runs with ``params``. A transport failure, of any
+    chat call or of the completer's ``predict`` or fine-tune, skips the
+    question: it is logged and recorded with its error, and the loop continues.
     ``sink`` receives each :class:`JointRecord` as it is produced (used for
     persistence).
     """
@@ -100,7 +100,7 @@ def train_joint(
 
     result = JointResult(completer=completer)
     for idx, example in enumerate(qa_train):
-        path, error = None, ""
+        path, error, finetuned = None, "", False
         try:
             trajectory = run_episode(
                 example.question,
@@ -114,21 +114,21 @@ def train_joint(
             )
             if example.topic_entities:  # fallback-answered questions yield no path
                 path = parse_reasoning_paths(trajectory, kb, llm, params)
+            if path and path.triples:
+                completer.incremental_finetune(
+                    path.triples,
+                    replay_memory,
+                    samples_per_triple=samples_per_triple,
+                    kb=kb,
+                    config=train_config,
+                )
+                finetuned = True
         except EpisodeAborted as exc:
             trajectory, error = exc.trajectory, str(exc)
-        except LlmTransportError as exc:  # the path_select call
+        except (LlmTransportError, CompleterTransportError) as exc:  # path_select, a remote fine-tune
             error = str(exc)
         if error:
             logger.warning("question %d skipped: %s", idx, error)
-        finetuned = bool(path and path.triples)
-        if finetuned:
-            completer.incremental_finetune(
-                path.triples,
-                replay_memory,
-                samples_per_triple=samples_per_triple,
-                kb=kb,
-                config=train_config,
-            )
         record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error)
         result.records.append(record)
         if sink:

@@ -8,7 +8,7 @@ without edges after degradation, so no entity ever disappears from the graph.
 The store is immutable after construction: its entities, relations and
 triples are fixed when it is built, so it is safe for concurrent readers, and
 a completer built over it keeps the same vocabulary for its whole life. A
-different triple set is a new store (:meth:`KnowledgeBase.with_triples`).
+different triple set is a new store.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ class KnowledgeBase:
         self.triples.add(t)
         self.out_index.setdefault(t.head, []).append(t)
         self.in_index.setdefault(t.tail, []).append(t)
-
-    def with_triples(self, triples) -> "KnowledgeBase":
-        """New store over the same entity/relation records but a different
-        triple set (e.g. the degraded training graph)."""
-        return KnowledgeBase(self.entities.values(), self.relations.values(), triples)
 
     # -- lookups ----------------------------------------------------------
 

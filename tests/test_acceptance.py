@@ -24,7 +24,7 @@ from kbloop.completer import (
     TrainingConfig,
 )
 from kbloop.joint import QaExample, train_joint
-from kbloop.kb import NOOP_RELATION, Triple, degrade
+from kbloop.kb import NOOP_RELATION, KnowledgeBase, Triple, degrade
 from kbloop.llm import LiveBackend, ScriptedBackend
 from kbloop.metrics import hits_at_k, kbqa_hits_at_1, mrr
 from kbloop.paths import build_subgraph, bfs_witness
@@ -396,7 +396,7 @@ def _joint_world(rng):
             triples.add((f"e{h}", f"r{rng.randrange(n_relations)}", f"e{t}"))
     full = make_kb(sorted(triples), entities=entities, relations=relations)
     kept = degrade(sorted(full.triples), 0.5, seed=17, kb=full)
-    working = full.with_triples(kept)
+    working = KnowledgeBase(full.entities.values(), full.relations.values(), kept)
     deleted = sorted(full.triples - {t for t in kept if not t.is_noop()})
     injectable = [t for t in deleted if t.head != t.tail]
     rng.shuffle(injectable)

@@ -167,7 +167,7 @@ class TestPretrainAndEval:
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
         invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
-        with open(tmp_path / "entities.tsv", "a", encoding="utf-8") as fh:
+        with open(run_dir / "entities.tsv", "a", encoding="utf-8") as fh:
             fh.write("e40\tEntity 40\tdescription 40\n")
         result = CliRunner().invoke(
             main, ["eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir)],
@@ -204,6 +204,64 @@ class TestAnswer:
             main, ["answer", "--config", str(config_path), "--question", "q?"],
         )
         assert result.exit_code == 2
+
+
+class TestSelfContainedRunDir:
+    """After `kb prepare`, later stages read the KB from the run directory
+    alone: the original KB files and the config's KB paths are not needed."""
+
+    def test_later_stages_need_no_original_kb(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        for name in ("triples.tsv", "entities.tsv", "relations.tsv"):
+            (tmp_path / name).unlink()
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        for key in ("triples_path", "entities_path", "relations_path"):
+            del config[key]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(
+            json.dumps({"question": "q?", "topic_entities": ["e0"], "answers": ["Entity 3"]}) + "\n",
+            encoding="utf-8",
+        )
+        script = tmp_path / "script.jsonl"
+        script.write_text(
+            json.dumps({"expect": "q?", "response": "Thought 1: t.\nAction 1: Finish[Entity 3]"}) + "\n",
+            encoding="utf-8",
+        )
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        for args in (
+            ["pretrain"],
+            ["eval-kbc"],
+            ["answer", "--question", "q?", "--topic", "e0", "--scripted", str(script)],
+            ["eval-kbqa", "--qa", str(qa), "--scripted", str(script)],
+        ):
+            result = invoke(*args, *cfg)
+            assert result.exit_code == 0, (args, result.output)
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["hits_at_1"] == 1.0
+
+    def test_prepare_again_from_the_run_dir_copies(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        entities = (run_dir / "entities.tsv").read_bytes()
+        result = invoke(
+            "kb", "prepare", "--config", str(config_path), "--run-dir", str(run_dir),
+            "--entities", str(run_dir / "entities.tsv"),
+            "--relations", str(run_dir / "relations.tsv"),
+        )
+        assert result.exit_code == 0, result.output
+        assert (run_dir / "entities.tsv").read_bytes() == entities
+
+    def test_run_dir_without_entities_is_usage_error(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        (run_dir / "entities.tsv").unlink()
+        result = CliRunner().invoke(
+            main, ["pretrain", "--config", str(config_path), "--run-dir", str(run_dir)],
+        )
+        assert result.exit_code == 2
+        assert "no prepared KB" in result.output
 
 
 def write_joint_inputs(tmp_path):

@@ -76,6 +76,39 @@ class TestNativeTraining:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
+    def test_step_matches_reference_bit_for_bit(self):
+        def reference_step(entity_vecs, relation_vecs, batch, lr):
+            """The step written with a fresh array per expression."""
+            h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
+            eh, wr = entity_vecs[h], relation_vecs[r]
+            u = eh * wr
+            logits = u @ entity_vecs.T
+            logits -= logits.max(axis=1, keepdims=True)
+            exp = np.exp(logits)
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            n = len(batch)
+            loss = -np.mean(np.log(probs[np.arange(n), t] + 1e-12))
+            dlogits = probs
+            dlogits[np.arange(n), t] -= 1.0
+            du = dlogits @ entity_vecs
+            grad_e = dlogits.T @ u
+            np.add.at(grad_e, h, du * wr)
+            grad_w = np.zeros_like(relation_vecs)
+            np.add.at(grad_w, r, du * eh)
+            return entity_vecs - lr * grad_e, relation_vecs - lr * grad_w, float(loss)
+
+        kb = toy_kb(30)
+        model = NativeCompleter(kb, dim=8, seed=3)
+        encoded = model._encode(sorted(kb.triples))
+        rng = np.random.default_rng(5)
+        batches = [encoded[rng.choice(len(encoded), size, replace=False)] for size in (1, 7, 16)]
+        batches.append(encoded[[0, 0, 1, 0]])  # a repeated head: np.add.at accumulates
+        for batch in batches * 3:
+            ent, rel, loss = reference_step(model.entity_vecs, model.relation_vecs, batch, 0.3)
+            assert model._step(batch, 0.3) == loss
+            assert np.array_equal(model.entity_vecs, ent)
+            assert np.array_equal(model.relation_vecs, rel)
+
     def test_fit_capacity_single_fact(self):
         # the only r-triple is (a, r, b); a fitted model must put b first
         kb = make_kb([("a", "r", "b"), ("c", "s", "d"), ("b", "s", "c")])

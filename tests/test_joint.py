@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from kbloop.completer import CompletionQuery, NativeCompleter, TrainingConfig
+from kbloop.completer import (
+    CompleterTransportError,
+    CompletionQuery,
+    NativeCompleter,
+    TrainingConfig,
+)
 from kbloop.joint import QaExample, RunLog, load_qa_examples, run_joint_training, train_joint
 from kbloop.kb import Triple
 from kbloop.llm import LlmTransportError, ScriptedBackend
@@ -109,16 +114,23 @@ class TestTrainJoint:
         assert record.path is None and not record.finetuned
 
     @pytest.mark.parametrize(
-        "failing_call, script",
+        "failing_call, failing_method, script",
         [
             # the first agent call of question one
-            (1, generate_episode_script("E1", "E7")),
+            (1, None, generate_episode_script("E1", "E7")),
             # question one's path_select call, after a verified episode
-            (5, generate_episode_script("E0", "E5")[:4] + generate_episode_script("E1", "E7")),
+            (5, None, generate_episode_script("E0", "E5")[:4] + generate_episode_script("E1", "E7")),
+            # question one's Complete action: the completer's predict
+            (None, "predict",
+             [("", "Thought 1: ask.\nAction 1: Complete[E0 | rel r]")]
+             + generate_episode_script("E1", "E7")),
+            # question one's fine-tune, after a parsed path
+            (None, "incremental_finetune",
+             generate_episode_script("E0", "E5") + generate_episode_script("E1", "E7")),
         ],
-        ids=["first_agent_call", "path_select"],
+        ids=["first_agent_call", "path_select", "complete_predict", "finetune"],
     )
-    def test_transport_failure_skips_question(self, failing_call, script):
+    def test_transport_failure_skips_question(self, failing_call, failing_method, script):
         kb = chain_kb()
         pretrain = sorted(kb.triples)
         model = NativeCompleter(kb, dim=16, seed=0)
@@ -136,16 +148,32 @@ class TestTrainJoint:
                     raise LlmTransportError("boom")
                 return inner.chat(turns, params)
 
+        class FlakyCompleter:
+            """The model, except that the first call of ``failing_method`` fails."""
+
+            def __init__(self):
+                self.failed = False
+
+            def __getattr__(self, name):
+                if name != failing_method or self.failed:
+                    return getattr(model, name)
+
+                def fail(*args, **kwargs):
+                    self.failed = True
+                    raise CompleterTransportError("boom")
+                return fail
+
         result = train_joint(
             kb,
             [QaExample("q one?", ("e0",), ("E5",)), QaExample("q two?", ("e1",), ("E7",))],
-            model,
+            FlakyCompleter(),
             FlakyBackend(),
             train_config=TrainingConfig(epochs=5, seed=0, finetune_passes=2),
             pretrain_triples=pretrain,
         )
         assert result.records[0].error
-        assert result.records[0].path is None
+        # only a failed fine-tune comes after a parsed path
+        assert (result.records[0].path is None) == (failing_method != "incremental_finetune")
         assert not result.records[0].finetuned
         assert result.records[1].finetuned
 
