@@ -215,29 +215,27 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
         raise click.UsageError(f"bad --k list: {ks!r}")
     working_kb = _working_kb(run_dir)
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb, require_checkpoint=True)
-    queries = kb_mod.read_triples(Path(run_dir) / f"{split_name}.tsv")
+    queries = kb_mod.read_triples(
+        Path(run_dir) / f"{split_name}.tsv", working_kb.entities, working_kb.relations
+    )
     if limit:
         queries = queries[:limit]
-    known = set()
+    # known-true tails of the queried (h, r) pairs only; unknown tails are ignored
+    known_tails = {}
     if filtered:
+        known_tails = {(q.head, q.relation): set() for q in queries}
         for name in ("train.tsv", "valid.tsv", "test.tsv"):
-            known.update(kb_mod.read_triples(Path(run_dir) / name))
+            for t in kb_mod.read_triples(Path(run_dir) / name):
+                if (t.head, t.relation) in known_tails:
+                    known_tails[t.head, t.relation].add(t.tail)
 
-    rankings, gold = [], []
-    n_candidates = len(working_kb.entities)
+    index = {e: i for i, e in enumerate(sorted(working_kb.entities))}
+    ranks = []
     for q in queries:
-        predictions = completer.predict(
-            CompletionQuery.tail_query(q.head, q.relation), working_kb, n_candidates
-        )
-        ranking = [p.entity for p in predictions]
-        if filtered:
-            ranking = [
-                e for e in ranking
-                if e == q.tail or kb_mod.Triple(q.head, q.relation, e) not in known
-            ]
-        rankings.append(ranking)
-        gold.append(q.tail)
-    result = metrics_mod.kbc_eval(rankings, gold, ks=tuple(cutoffs))
+        scores = completer.tail_scores(CompletionQuery.tail_query(q.head, q.relation), working_kb)
+        excluded = [index[e] for e in known_tails.get((q.head, q.relation), ()) if e in index]
+        ranks.append(metrics_mod.tail_rank(scores, index[q.tail], excluded))
+    result = metrics_mod.kbc_eval(ranks, ks=tuple(cutoffs))
     payload = result.to_dict()
     payload["split"] = split_name
     payload["filtered"] = filtered

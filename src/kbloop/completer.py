@@ -1,6 +1,6 @@
 """Trainable triple completer behind a uniform interface.
 
-Two realizations share the same surface (pretrain / predict /
+Two realizations share the same surface (pretrain / predict / tail_scores /
 incremental_finetune), and both answer one kind of query: the missing tail
 of a (head, relation) pair.
 
@@ -258,15 +258,30 @@ class NativeCompleter:
         if not self.trained:
             raise ModelStateError("model has not been trained")
 
+    def tail_scores(self, query: CompletionQuery, kb: KnowledgeBase) -> np.ndarray:
+        """Score of every entity as the tail of the query, in ``entity_ids`` order."""
+        self._require_trained()
+        u = self.entity_vecs[self._eidx(query.h)] * self.relation_vecs[self._ridx(query.r)]
+        return self.entity_vecs @ u
+
     def predict(self, query: CompletionQuery, kb: KnowledgeBase, k: int) -> list[RankedPrediction]:
         """Top-k tail candidates, descending score, ties by id ascending (rows
-        are in id order, so the stable sort keeps ties in id order)."""
+        are in id order, so the stable sort keeps ties in id order).
+
+        Below |E|, only the candidates scoring at least the k-th best are
+        sorted; they come out in id order, so ties at the k boundary keep the
+        lowest ids, as the full stable sort would.
+        """
         self._require_trained()
         if k < 1:
             raise ValueError("k must be >= 1")
-        u = self.entity_vecs[self._eidx(query.h)] * self.relation_vecs[self._ridx(query.r)]
-        scores = self.entity_vecs @ u
-        order = np.argsort(-scores, kind="stable")[:k]
+        scores = self.tail_scores(query, kb)
+        neg = -scores
+        if k < len(neg):
+            candidates = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+            order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+        else:
+            order = np.argsort(neg, kind="stable")
         return [RankedPrediction(self.entity_ids[i], float(scores[i])) for i in order]
 
     def score_triple(self, t: Triple, kb: KnowledgeBase | None = None) -> float:
@@ -374,6 +389,12 @@ class RemoteCompleter:
                 if eid not in best or logprob > best[eid]:
                     best[eid] = logprob
         return best
+
+    def tail_scores(self, query: CompletionQuery, kb: KnowledgeBase) -> np.ndarray:
+        """Best decoded log-probability of every entity, in ``sorted(kb.entities)``
+        order; minus infinity for an entity never decoded."""
+        best = self._decode(query, kb)
+        return np.array([best.get(e, -math.inf) for e in sorted(kb.entities)])
 
     def predict(self, query: CompletionQuery, kb: KnowledgeBase, k: int) -> list[RankedPrediction]:
         if k < 1:

@@ -13,6 +13,7 @@ different triple set is a new store.
 
 from __future__ import annotations
 
+import functools
 import logging
 import random
 from dataclasses import dataclass
@@ -90,6 +91,8 @@ class KnowledgeBase:
       * ``_catalog``: normalized entity label -> sorted entity ids (:meth:`lookup_label`)
       * ``_relation_catalog``: normalized relation label -> sorted relation ids
         (:meth:`lookup_relation_label`)
+      * ``relation_index``: BM25 over relation label + description, built on
+        first use (relation linking)
     """
 
     def __init__(self, entities, relations, triples):
@@ -182,6 +185,18 @@ class KnowledgeBase:
     def lookup_relation_label(self, surface: str) -> tuple[RelationId, ...]:
         """All relation ids whose label matches ``surface`` (normalized), sorted."""
         return tuple(self._relation_catalog.get(normalize_label(surface), ()))
+
+    @functools.cached_property
+    def relation_index(self):
+        """BM25 index over ``label description`` of every relation, in id
+        order, for relation linking. Built on first use; the store is
+        immutable, so one index serves it for life."""
+        from .retrieval import Bm25Index, Document  # retrieval imports kb
+
+        return Bm25Index(
+            Document(doc_id=rid, text=f"{rec.label} {rec.description}")
+            for rid, rec in sorted(self.relations.items())
+        )
 
     # -- graph queries ----------------------------------------------------
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .kb import normalize_label
 
@@ -42,45 +45,53 @@ class KbqaEvalResult:
         }
 
 
-def _rank_of(ranking, gold) -> int:
-    """1-based rank of gold in the ranking, 0 when absent."""
-    for i, entity in enumerate(ranking, start=1):
-        if entity == gold:
-            return i
-    return 0
+def tail_rank(scores, gold: int, excluded=()) -> int:
+    """1-based rank of candidate ``gold`` among ``scores`` (ids in ascending order).
+
+    rank = 1 + #(higher score) + #(equal score with a smaller index), counted
+    over the candidates whose index is not in ``excluded``: a stable sort by
+    descending score, then the filter, then the gold's position. A gold
+    scored minus infinity (a remote completer never decoded it) gets 0.
+    """
+    g = scores[gold]
+    if g == -math.inf:
+        return 0
+    rank = 1 + int(np.count_nonzero(scores > g)) + int(np.count_nonzero(scores[:gold] == g))
+    for i in set(excluded) - {gold}:
+        if scores[i] > g or (scores[i] == g and i < gold):
+            rank -= 1
+    return rank
 
 
-def mrr(rankings, gold) -> float:
-    """Mean reciprocal rank; an absent gold contributes 0."""
-    rankings = list(rankings)
-    gold = list(gold)
-    if not rankings or len(rankings) != len(gold):
-        raise ValueError("need one non-empty ranking per gold entity")
+def mrr(ranks) -> float:
+    """Mean reciprocal rank over 1-based ranks; a rank of 0 (absent gold)
+    contributes 0."""
+    ranks = list(ranks)
+    if not ranks:
+        raise ValueError("need at least one rank")
     total = 0.0
-    for ranking, g in zip(rankings, gold):
-        rank = _rank_of(ranking, g)
+    for rank in ranks:
         if rank:
             total += 1.0 / rank
-    return total / len(rankings)
+    return total / len(ranks)
 
 
-def hits_at_k(rankings, gold, k: int) -> float:
-    """Fraction of queries whose gold entity appears in the top k."""
+def hits_at_k(ranks, k: int) -> float:
+    """Fraction of queries whose gold entity ranks within the top k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rankings = list(rankings)
-    gold = list(gold)
-    if not rankings or len(rankings) != len(gold):
-        raise ValueError("need one non-empty ranking per gold entity")
-    hits = sum(1 for ranking, g in zip(rankings, gold) if 0 < _rank_of(ranking, g) <= k)
-    return hits / len(rankings)
+    ranks = list(ranks)
+    if not ranks:
+        raise ValueError("need at least one rank")
+    return sum(1 for rank in ranks if 0 < rank <= k) / len(ranks)
 
 
-def kbc_eval(rankings, gold, ks=(1, 3, 10)) -> KbcEvalResult:
+def kbc_eval(ranks, ks=(1, 3, 10)) -> KbcEvalResult:
+    ranks = list(ranks)
     return KbcEvalResult(
-        mrr=mrr(rankings, gold),
-        hits_at={k: hits_at_k(rankings, gold, k) for k in ks},
-        n_queries=len(list(rankings)),
+        mrr=mrr(ranks),
+        hits_at={k: hits_at_k(ranks, k) for k in ks},
+        n_queries=len(ranks),
     )
 
 

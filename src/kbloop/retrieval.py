@@ -45,50 +45,52 @@ class Document:
 
 
 class Bm25Index:
-    """Immutable BM25 index; build once, query concurrently."""
+    """Immutable BM25 index; build once, query concurrently.
+
+    Stores postings (term -> ``[(doc index, tf)]``, ascending), one length
+    norm per document and the idf, so a query touches only the documents that
+    share one of its terms.
+    """
 
     k1 = 1.2  # term-frequency saturation
     b = 0.75  # document-length normalization
 
     def __init__(self, docs):
         self.docs: list[Document] = list(docs)
-        self.term_freqs = [Counter(d.tokens) for d in self.docs]
-        self.doc_lens = [len(d.tokens) for d in self.docs]
         n = len(self.docs)
-        self.avgdl = (sum(self.doc_lens) / n) if n else 0.0
-        df = Counter()
-        for tf in self.term_freqs:
-            for term in tf:
-                df[term] += 1
+        lens = [len(d.tokens) for d in self.docs]
+        avgdl = (sum(lens) / n) if n else 0.0
+        self.norms = [
+            self.k1 * (1.0 - self.b + self.b * dl / avgdl) if avgdl else 0.0 for dl in lens
+        ]
+        self.postings: dict[str, list[tuple[int, int]]] = {}
+        for i, d in enumerate(self.docs):
+            for term, f in Counter(d.tokens).items():
+                self.postings.setdefault(term, []).append((i, f))
         self.idf = {
-            term: math.log((n - count + 0.5) / (count + 0.5) + 1.0)
-            for term, count in df.items()
+            term: math.log((n - len(posting) + 0.5) / (len(posting) + 0.5) + 1.0)
+            for term, posting in self.postings.items()
         }
-
-    def score(self, query: str, i: int) -> float:
-        """BM25 score of document ``i`` against ``query``."""
-        tf = self.term_freqs[i]
-        dl = self.doc_lens[i]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl else 0.0
-        total = 0.0
-        for term in tokenize(query):
-            f = tf.get(term, 0)
-            if not f:
-                continue
-            total += self.idf[term] * f * (self.k1 + 1.0) / (f + norm)
-        return total
 
 
 def top_k(index: Bm25Index, query: str, k: int):
     """Best ``k`` documents: descending score, ties by doc_id ascending,
-    zero-score documents excluded."""
+    zero-score documents excluded.
+
+    Each document's terms are summed in query-token order, so its score is
+    the same float as a per-document loop over the query would give.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    scored = []
-    for i, doc in enumerate(index.docs):
-        s = index.score(query, i)
-        if s > 0.0:
-            scored.append((doc.doc_id, s))
+    totals: dict[int, float] = {}
+    for term in tokenize(query):
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        idf = index.idf[term]
+        for i, f in posting:
+            totals[i] = totals.get(i, 0.0) + idf * f * (index.k1 + 1.0) / (f + index.norms[i])
+    scored = [(index.docs[i].doc_id, s) for i, s in sorted(totals.items()) if s > 0.0]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
@@ -97,17 +99,14 @@ def link_relation(kb: KnowledgeBase, surface: str) -> RelationId:
     """Map a relation surface to a KB relation id.
 
     An exact label match (case-insensitive) wins without scoring; otherwise
-    the top BM25 hit over label + description text. No hit at all raises
+    the top BM25 hit over label + description text, from the KB's one
+    relation index (:attr:`KnowledgeBase.relation_index`). No hit at all raises
     :class:`RelationLinkError` and the caller decides the fallback.
     """
     exact = kb.lookup_relation_label(surface)
     if exact:
         return exact[0]
-    docs = [
-        Document(doc_id=rid, text=f"{rec.label} {rec.description}")
-        for rid, rec in sorted(kb.relations.items())
-    ]
-    hits = top_k(Bm25Index(docs), surface, 1)
+    hits = top_k(kb.relation_index, surface, 1)
     if not hits:
         raise RelationLinkError(f"no KB relation matches surface {surface!r}")
     return hits[0][0]

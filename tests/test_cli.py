@@ -163,6 +163,23 @@ class TestPretrainAndEval:
         assert result.exit_code == 1
         assert "test.tsv:2" in result.output
 
+    @pytest.mark.parametrize("line", ["nobody\tr0\te1\n", "e1\tr0\tnobody\n"],
+                             ids=["unknown_head", "unknown_tail"])
+    def test_unknown_split_entity_is_named(self, workspace, line):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        split_file = run_dir / "test.tsv"
+        lines = split_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = line
+        split_file.write_text("".join(lines), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir)],
+        )
+        assert result.exit_code == 1
+        assert "test.tsv:2" in result.output
+        assert "'nobody'" in result.output
+
     def test_checkpoint_from_another_kb_is_usage_error(self, workspace):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)

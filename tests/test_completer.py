@@ -191,6 +191,38 @@ class TestNativePredict:
         assert [p.score for p in preds[:3]] == [2.0, 2.0, 1.0]
 
 
+    def test_topk_ties_at_boundary_keep_lowest_ids(self):
+        # e02, e07 and e09 tie for second place: k=2 keeps e02, k=3 adds e07
+        kb = make_kb([(f"e{i:02d}", "r", f"e{(i + 1) % 12:02d}") for i in range(12)])
+        model = NativeCompleter(kb, dim=2, seed=0)
+        values = [1.0, 0.5, 2.0, 0.25, 0.0, 3.0, 0.75, 2.0, 1.5, 2.0, 0.0, 1.25]
+        model.entity_vecs = np.array([(v, 0.0) for v in values])
+        model.relation_vecs = np.ones((len(kb.relations), 2))
+        model.trained = True
+        query = CompletionQuery.tail_query("e00", "r")
+        assert [p.entity for p in model.predict(query, kb, 2)] == ["e05", "e02"]
+        assert [p.entity for p in model.predict(query, kb, 3)] == ["e05", "e02", "e07"]
+        s = np.array(values)
+        for k in range(1, len(values) + 2):
+            want = [model.entity_ids[i] for i in np.argsort(-s, kind="stable")[:k]]
+            assert [p.entity for p in model.predict(query, kb, k)] == want
+
+    def test_topk_matches_full_argsort_with_random_ties(self):
+        # integer-valued rows give exactly equal scores at random places
+        rng = np.random.default_rng(11)
+        kb = make_kb([(f"e{i:02d}", "r", f"e{(i + 1) % 40:02d}") for i in range(40)])
+        model = NativeCompleter(kb, dim=3, seed=0)
+        model.relation_vecs = np.ones((len(kb.relations), 3))
+        model.trained = True
+        query = CompletionQuery.tail_query("e00", "r")
+        for _ in range(50):
+            model.entity_vecs = rng.integers(-2, 3, (40, 3)).astype(float)
+            s = model.entity_vecs @ model.entity_vecs[0]
+            for k in (1, 2, 5, 17, 39, 40):
+                want = [model.entity_ids[i] for i in np.argsort(-s, kind="stable")[:k]]
+                assert [p.entity for p in model.predict(query, kb, k)] == want
+
+
 class TestReplayMemory:
     def test_distinct_uniform_draws(self):
         pool = [Triple(f"e{i}", "r", f"e{i+1}") for i in range(50)]

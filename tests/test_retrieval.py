@@ -171,6 +171,11 @@ class TestLinkRelation:
         with pytest.raises(RelationLinkError):
             link_relation(self.fixture_kb(), "zzz")
 
+    def test_one_index_per_kb(self):
+        kb = self.fixture_kb()
+        assert kb.relation_index is kb.relation_index
+        assert [d.doc_id for d in kb.relation_index.docs] == sorted(kb.relations)
+
     def test_idempotent_and_deterministic(self):
         kb = self.fixture_kb()
         first = link_relation(kb, "works for organization")
