@@ -72,7 +72,7 @@ def _completer(cfg, run_dir=None, kb=None, require_checkpoint=False):
     checkpoint = Path(run_dir) / "completer.npz" if run_dir else None
     if checkpoint and checkpoint.exists():
         completer = NativeCompleter.load(checkpoint)
-        if completer.entity_ids != sorted(kb.entities):
+        if completer.entity_ids != list(kb.entity_index):
             raise click.UsageError(
                 f"completer checkpoint {checkpoint} does not match the KB's entities; "
                 "run `kbloop pretrain` again"
@@ -229,7 +229,7 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
                 if (t.head, t.relation) in known_tails:
                     known_tails[t.head, t.relation].add(t.tail)
 
-    index = {e: i for i, e in enumerate(sorted(working_kb.entities))}
+    index = working_kb.entity_index
     ranks = []
     for q in queries:
         scores = completer.tail_scores(CompletionQuery.tail_query(q.head, q.relation), working_kb)

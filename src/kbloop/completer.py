@@ -134,7 +134,7 @@ class NativeCompleter:
 
     def __init__(self, kb: KnowledgeBase, dim: int = 64, seed: int = 0):
         self.dim = dim
-        self.entity_ids: list[EntityId] = sorted(kb.entities)
+        self.entity_ids: list[EntityId] = list(kb.entity_index)
         self.relation_ids: list[RelationId] = sorted(kb.relations)
         self._ent_index = {e: i for i, e in enumerate(self.entity_ids)}
         self._rel_index = {r: i for i, r in enumerate(self.relation_ids)}
@@ -268,20 +268,18 @@ class NativeCompleter:
         """Top-k tail candidates, descending score, ties by id ascending (rows
         are in id order, so the stable sort keeps ties in id order).
 
-        Below |E|, only the candidates scoring at least the k-th best are
-        sorted; they come out in id order, so ties at the k boundary keep the
-        lowest ids, as the full stable sort would.
+        Only the candidates scoring at least the k-th best are sorted; they
+        come out in id order, so ties at the k boundary keep the lowest ids,
+        as a full stable sort would. At k >= |E| every entity is a candidate.
         """
         self._require_trained()
         if k < 1:
             raise ValueError("k must be >= 1")
         scores = self.tail_scores(query, kb)
         neg = -scores
-        if k < len(neg):
-            candidates = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-            order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
-        else:
-            order = np.argsort(neg, kind="stable")
+        k = min(k, len(neg))
+        candidates = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+        order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
         return [RankedPrediction(self.entity_ids[i], float(scores[i])) for i in order]
 
     def score_triple(self, t: Triple, kb: KnowledgeBase | None = None) -> float:
@@ -391,10 +389,13 @@ class RemoteCompleter:
         return best
 
     def tail_scores(self, query: CompletionQuery, kb: KnowledgeBase) -> np.ndarray:
-        """Best decoded log-probability of every entity, in ``sorted(kb.entities)``
+        """Best decoded log-probability of every entity, in ``kb.entity_index``
         order; minus infinity for an entity never decoded."""
-        best = self._decode(query, kb)
-        return np.array([best.get(e, -math.inf) for e in sorted(kb.entities)])
+        index = kb.entity_index
+        scores = np.full(len(index), -math.inf)
+        for eid, logprob in self._decode(query, kb).items():
+            scores[index[eid]] = logprob
+        return scores
 
     def predict(self, query: CompletionQuery, kb: KnowledgeBase, k: int) -> list[RankedPrediction]:
         if k < 1:

@@ -93,6 +93,8 @@ class KnowledgeBase:
         (:meth:`lookup_relation_label`)
       * ``relation_index``: BM25 over relation label + description, built on
         first use (relation linking)
+      * ``entity_index``: entity id -> position in ascending id order, the
+        candidate order of completer tail scores, built on first use
     """
 
     def __init__(self, entities, relations, triples):
@@ -197,6 +199,12 @@ class KnowledgeBase:
             Document(doc_id=rid, text=f"{rec.label} {rec.description}")
             for rid, rec in sorted(self.relations.items())
         )
+
+    @functools.cached_property
+    def entity_index(self) -> dict[EntityId, int]:
+        """Entity id -> position in ascending id order. This is the candidate
+        order of ``tail_scores`` and of the completer's embedding rows."""
+        return {e: i for i, e in enumerate(sorted(self.entities))}
 
     # -- graph queries ----------------------------------------------------
 

@@ -76,6 +76,13 @@ class TestLoad:
         assert kb.lookup_label("same label") == ("x1", "x2")
 
 
+class TestEntityIndex:
+    def test_positions_follow_ascending_ids(self):
+        kb = make_kb([("e10", "r", "e2"), ("e1", "r", "e0")])
+        assert kb.entity_index == {"e0": 0, "e1": 1, "e10": 2, "e2": 3}
+        assert kb.entity_index is kb.entity_index
+
+
 class TestSplit:
     def make(self, n=100):
         triples = [(f"e{i}", "r", f"e{(i + 1) % n}") for i in range(n)]
