@@ -92,13 +92,14 @@ def _emit_report(run_dir, payload: dict) -> None:
 
 
 class _Main(click.Group):
-    """Reports a KB input error (a malformed file, an unknown id) as a
-    one-line CLI error with exit code 1, for every command."""
+    """Reports a KB input error (a malformed file, an unknown id) or a run
+    directory whose snapshot and question log disagree as a one-line CLI
+    error with exit code 1, for every command."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except kb_mod.KbError as exc:
+        except (kb_mod.KbError, joint_mod.RunLogError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -164,8 +165,7 @@ def pretrain(config_path, run_dir):
     completer = _completer(cfg, kb=working_kb)
     started = time.perf_counter()
     completer.pretrain(working_kb.triples, working_kb, cfg.training_config())
-    if hasattr(completer, "save"):
-        completer.save(Path(run_dir) / "completer.npz")
+    joint_mod.RunLog(run_dir).restart(completer)
     click.echo(f"pretrained completer in {time.perf_counter() - started:.1f}s")
 
 
@@ -174,7 +174,7 @@ def pretrain(config_path, run_dir):
 @click.option("--run-dir", type=click.Path(), required=True)
 @click.option("--qa", "qa_path", type=click.Path(), required=True, help="QA training set (JSONL).")
 @click.option("--scripted", type=click.Path(), default=None, help="Scripted chat transcript (JSONL).")
-@click.option("--resume", is_flag=True, help="Continue from the last completed question.")
+@click.option("--resume", is_flag=True, help="Skip the questions the run's log already holds.")
 def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
     """Run the joint loop: episodes, path parsing, incremental fine-tuning."""
     cfg = _load_run_config(config_path)

@@ -26,8 +26,8 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
+from .durable import write_atomic
 from .kb import (
     EntityId,
     KnowledgeBase,
@@ -36,6 +36,7 @@ from .kb import (
     UnknownEntityError,
     UnknownRelationError,
 )
+from .llm import post_json
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +88,7 @@ class ReplayMemory:
 
     def __init__(self, pool, seed: int = 0):
         self.pool: list[Triple] = sorted(set(pool))
+        self.seed = seed
         self._rng = random.Random(seed)
 
     def sample(self, n: int) -> list[Triple]:
@@ -94,6 +96,18 @@ class ReplayMemory:
         if n >= len(self.pool):
             return list(self.pool)
         return self._rng.sample(self.pool, n)
+
+    def get_state(self) -> str:
+        """The sampler's RNG state as a JSON string."""
+        return json.dumps(self._rng.getstate())
+
+    def set_state(self, state: str) -> None:
+        """Restore a :meth:`get_state` value; an empty one is the seeded start."""
+        if not state:
+            self._rng.seed(self.seed)
+            return
+        version, internal, gauss_next = json.loads(state)
+        self._rng.setstate((version, tuple(internal), gauss_next))
 
 
 def render_context_triple(kb: KnowledgeBase, t: Triple) -> str:
@@ -289,44 +303,48 @@ class NativeCompleter:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path) -> None:
-        np.savez(
-            path,
-            entity_ids=np.array(self.entity_ids, dtype=object),
-            relation_ids=np.array(self.relation_ids, dtype=object),
-            entity_vecs=self.entity_vecs,
-            relation_vecs=self.relation_vecs,
-            trained=np.array([self.trained]),
-            rng_state=np.array([json.dumps(self._rng.bit_generator.state, default=int)], dtype=object),
-        )
+    def save(self, path, **extra) -> None:
+        """Write the model to ``path`` atomically, with no pickled object.
+
+        Ids and the RNG state are unicode string arrays. ``extra`` names
+        further string or integer values stored beside the model (the joint
+        loop keeps its log position and replay RNG there); :meth:`load`
+        ignores them.
+        """
+        arrays = {
+            "entity_ids": np.array(self.entity_ids, dtype=str),
+            "relation_ids": np.array(self.relation_ids, dtype=str),
+            "entity_vecs": self.entity_vecs,
+            "relation_vecs": self.relation_vecs,
+            "trained": np.array([self.trained]),
+            "rng_state": np.array(json.dumps(self._rng.bit_generator.state, default=int)),
+        }
+        arrays.update((name, np.array(value)) for name, value in extra.items())
+        write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
     @classmethod
     def load(cls, path) -> "NativeCompleter":
-        data = np.load(path, allow_pickle=True)
-        model = cls.__new__(cls)
-        model.entity_ids = [str(e) for e in data["entity_ids"]]
-        model.relation_ids = [str(r) for r in data["relation_ids"]]
+        with np.load(path, allow_pickle=False) as data:
+            model = cls.__new__(cls)
+            model.entity_ids = data["entity_ids"].tolist()
+            model.relation_ids = data["relation_ids"].tolist()
+            model.entity_vecs = data["entity_vecs"]
+            model.relation_vecs = data["relation_vecs"]
+            model.trained = bool(data["trained"][0])
+            rng_state = json.loads(str(data["rng_state"]))
         model._ent_index = {e: i for i, e in enumerate(model.entity_ids)}
         model._rel_index = {r: i for i, r in enumerate(model.relation_ids)}
-        model.entity_vecs = data["entity_vecs"]
-        model.relation_vecs = data["relation_vecs"]
         model.dim = model.entity_vecs.shape[1]
-        model.trained = bool(data["trained"][0])
         model.loss_history = []
         model._rng = np.random.default_rng()
-        model._rng.bit_generator.state = json.loads(str(data["rng_state"][0]))
+        model._rng.bit_generator.state = rng_state
         return model
 
 
 def _http_transport(endpoint: str, timeout: float):
     def post(path: str, payload: dict) -> dict:
         url = f"{endpoint.rstrip('/')}/{path}"
-        try:
-            resp = requests.post(url, json=payload, timeout=timeout)
-            resp.raise_for_status()
-            return resp.json()
-        except requests.RequestException as exc:
-            raise CompleterTransportError(f"completion service request to {url} failed: {exc}") from exc
+        return post_json(url, payload, CompleterTransportError, timeout)
     return post
 
 

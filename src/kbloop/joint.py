@@ -11,17 +11,25 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .agent import AgentConfig, EpisodeAborted, run_episode
-from .completer import CompleterTransportError, ReplayMemory, TrainingConfig
-from .kb import KnowledgeBase
+from .completer import CompleterTransportError, ReplayMemory, TrainingConfig, TrainingError
+from .durable import append_line, write_atomic
+from .kb import KnowledgeBase, Triple
 from .llm import LlmParams, LlmTransportError
 from .paths import ReasoningPath, parse_reasoning_paths
 
 logger = logging.getLogger(__name__)
+
+
+class RunLogError(Exception):
+    """A run directory's snapshot and question log disagree."""
 
 
 @dataclass(frozen=True)
@@ -80,23 +88,26 @@ def train_joint(
     samples_per_triple: int = 10,
     sink=None,
     params: LlmParams | None = None,
+    memory: ReplayMemory | None = None,
+    rollback=None,
 ) -> JointResult:
     """Run the loop over ``qa_train`` in input order.
 
-    The replay memory samples ``pretrain_triples``, which also pretrain the
-    completer if it is untrained. Every chat call, the episode's and
+    The completer must be trained. The replay memory (``memory``, or a fresh
+    one seeded with ``train_config.seed``) samples ``pretrain_triples``.
+    Every chat call, the episode's and
     ``path_select``'s alike, runs with ``params``. A transport failure, of any
     chat call or of the completer's ``predict`` or fine-tune, skips the
     question: it is logged and recorded with its error, and the loop continues.
-    ``sink`` receives each :class:`JointRecord` as it is produced (used for
-    persistence).
+    So does a fine-tune whose loss turns non-finite, when ``rollback`` is
+    given: ``rollback()`` returns the completer, and puts the replay memory
+    back, as they were before that fine-tune; without it the
+    :class:`TrainingError` propagates. ``sink`` receives each
+    :class:`JointRecord` as it is produced (used for persistence).
     """
     agent_config = agent_config or AgentConfig()
     train_config = train_config or TrainingConfig()
-    replay_memory = ReplayMemory(pretrain_triples, seed=train_config.seed)
-    if not getattr(completer, "trained", False):
-        logger.info("pretraining completer on %d triples", len(set(pretrain_triples)))
-        completer.pretrain(pretrain_triples, kb, train_config)
+    replay_memory = memory or ReplayMemory(pretrain_triples, seed=train_config.seed)
 
     result = JointResult(completer=completer)
     for idx, example in enumerate(qa_train):
@@ -127,6 +138,11 @@ def train_joint(
             trajectory, error = exc.trajectory, str(exc)
         except (LlmTransportError, CompleterTransportError) as exc:  # path_select, a remote fine-tune
             error = str(exc)
+        except TrainingError as exc:
+            if rollback is None:
+                raise
+            error = str(exc)
+            completer = result.completer = rollback()
         if error:
             logger.warning("question %d skipped: %s", idx, error)
         record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error)
@@ -137,8 +153,23 @@ def train_joint(
 
 
 class RunLog:
-    """Line-delimited persistence for trajectories and paths in a run
-    directory, with enough state to resume an interrupted joint run."""
+    """A joint run's persistent state in its run directory.
+
+    * ``trajectories.jsonl`` is the write-ahead question log and the record
+      of truth: one line per question, appended and fsynced before the next
+      question starts. The line is the trajectory with its ``error``, its
+      reasoning ``path`` (``null`` when none was parsed) and ``finetuned``.
+    * ``completer.npz`` is a snapshot of a native completer, written by
+      ``pretrain`` and at the end of each joint run, never per question. It
+      also stores ``log_lines``, how many log lines it already includes, and
+      the replay memory's RNG state.
+    * ``paths.jsonl`` is a view of the log's paths, rewritten from the log
+      at the end of each joint run.
+
+    Fine-tuning is deterministic given its triples and both RNG states, so
+    the snapshot plus the fine-tunes of the log lines after it rebuild the
+    completer exactly, with no chat call.
+    """
 
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
@@ -147,24 +178,73 @@ class RunLog:
         self.paths_path = self.run_dir / "paths.jsonl"
         self.checkpoint_path = self.run_dir / "completer.npz"
 
+    def entries(self) -> list[dict]:
+        """The log's lines, parsed. A torn last line, one a crash cut short
+        before its newline, is cut off the file: that question never ran."""
+        try:
+            data = self.trajectories_path.read_bytes()
+        except FileNotFoundError:
+            return []
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            logger.warning("dropping the torn last line of %s", self.trajectories_path)
+            os.truncate(self.trajectories_path, end)
+        return [json.loads(line) for line in data[:end].decode("utf-8").splitlines() if line.strip()]
+
     def completed_questions(self) -> int:
-        if not self.trajectories_path.exists():
-            return 0
-        with open(self.trajectories_path, encoding="utf-8") as fh:
-            return sum(1 for line in fh if line.strip())
+        return len(self.entries())
 
     def append(self, record: JointRecord) -> None:
-        with open(self.trajectories_path, "a", encoding="utf-8") as fh:
-            entry = record.trajectory.to_dict(include_timing=True)
-            entry["error"] = record.error
-            fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
-        if record.path is not None:
-            with open(self.paths_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.path.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+        entry = record.trajectory.to_dict(include_timing=True)
+        entry["error"] = record.error
+        entry["finetuned"] = record.finetuned
+        entry["path"] = record.path.to_dict() if record.path is not None else None
+        append_line(self.trajectories_path, json.dumps(entry, ensure_ascii=False, sort_keys=True))
 
-    def save_checkpoint(self, completer) -> None:
+    def save_checkpoint(self, completer, memory: ReplayMemory) -> None:
+        """Snapshot ``completer`` and ``memory`` as including the whole log."""
+        if hasattr(completer, "save"):
+            completer.save(
+                self.checkpoint_path,
+                log_lines=self.completed_questions(),
+                replay_rng_state=memory.get_state(),
+            )
+
+    def restart(self, completer) -> None:
+        """Begin the run's history at a newly pretrained ``completer``: the
+        log and its paths view are removed, then the snapshot is written as
+        including no log line."""
+        self.trajectories_path.unlink(missing_ok=True)
+        self.paths_path.unlink(missing_ok=True)
         if hasattr(completer, "save"):
             completer.save(self.checkpoint_path)
+
+    def replay(self, completer, memory: ReplayMemory, finetune):
+        """Bring ``completer``, the snapshot's model, and ``memory`` to the end
+        of the log: restore the snapshot's replay RNG state, then
+        ``finetune(completer, triples)`` for each line after the snapshot
+        that was fine-tuned on."""
+        with np.load(self.checkpoint_path, allow_pickle=False) as data:
+            start = int(data["log_lines"]) if "log_lines" in data.files else 0
+            memory.set_state(str(data["replay_rng_state"]) if "replay_rng_state" in data.files else "")
+        entries = self.entries()
+        if start > len(entries):
+            raise RunLogError(
+                f"{self.checkpoint_path} includes {start} question log lines, but "
+                f"{self.trajectories_path} has {len(entries)}; run `kbloop pretrain` again"
+            )
+        for entry in entries[start:]:
+            if entry["finetuned"]:
+                finetune(completer, [Triple(*t) for t in entry["path"]["triples"]])
+        return completer
+
+    def write_paths(self) -> None:
+        """Rewrite the paths view from the log."""
+        lines = "".join(
+            json.dumps(entry["path"], ensure_ascii=False, sort_keys=True) + "\n"
+            for entry in self.entries() if entry["path"] is not None
+        )
+        write_atomic(self.paths_path, lambda fh: fh.write(lines.encode("utf-8")))
 
 
 def run_joint_training(
@@ -174,28 +254,58 @@ def run_joint_training(
     completer,
     llm,
     resume: bool = False,
+    *,
+    pretrain_triples,
+    train_config: TrainingConfig | None = None,
+    samples_per_triple: int = 10,
     **kwargs,
 ) -> JointResult:
-    """Persisted wrapper around :func:`train_joint`.
+    """Persisted wrapper around :func:`train_joint`; see :class:`RunLog`.
 
-    With ``resume`` the already-logged questions are skipped and the
-    completer checkpoint (saved after every question) is loaded first.
+    ``completer`` is the model of the snapshot in ``run_dir``, or, when there
+    is none yet, the model to start from; then a native completer is
+    pretrained if need be and snapshotted before the first question. The run
+    first replays the log lines after the snapshot, so it continues from the
+    end of the log; with ``resume`` it also skips as many questions of
+    ``qa_train`` as the log holds. A diverging fine-tune is rolled back by
+    reloading the snapshot and replaying the log. A remote completer's
+    service owns its training state, so for it the log only counts the
+    questions to skip.
     """
     log = RunLog(run_dir)
+    train_config = train_config or TrainingConfig()
+    memory = ReplayMemory(pretrain_triples, seed=train_config.seed)
+
+    def finetune(model, triples):
+        model.incremental_finetune(
+            triples, memory, samples_per_triple=samples_per_triple, kb=kb, config=train_config
+        )
+
+    rollback = None
+    if hasattr(completer, "save"):
+        if not log.checkpoint_path.exists():
+            if not completer.trained:
+                logger.info("pretraining completer on %d triples", len(set(pretrain_triples)))
+                completer.pretrain(pretrain_triples, kb, train_config)
+            log.restart(completer)
+        completer = log.replay(completer, memory, finetune)
+
+        def rollback():
+            return log.replay(type(completer).load(log.checkpoint_path), memory, finetune)
+
+    done = log.completed_questions()  # also drops a torn last line before any append
     if resume:
-        done = log.completed_questions()
-        if done and log.checkpoint_path.exists() and hasattr(type(completer), "load"):
-            completer = type(completer).load(log.checkpoint_path)
-            logger.info("resuming after %d completed questions", done)
+        logger.info("resuming after %d logged questions", done)
         qa_train = list(qa_train)[done:]
 
-    def sink(record: JointRecord) -> None:
-        log.append(record)
-        log.save_checkpoint(completer)
-
     started = time.perf_counter()
-    result = train_joint(kb, qa_train, completer, llm, sink=sink, **kwargs)
-    log.save_checkpoint(result.completer)
+    result = train_joint(
+        kb, qa_train, completer, llm, pretrain_triples,
+        train_config=train_config, samples_per_triple=samples_per_triple,
+        sink=log.append, memory=memory, rollback=rollback, **kwargs,
+    )
+    log.save_checkpoint(result.completer, memory)
+    log.write_paths()
     logger.info(
         "joint training over %d questions in %.1fs",
         len(result.records), time.perf_counter() - started,

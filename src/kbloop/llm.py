@@ -82,6 +82,44 @@ class ScriptedBackend:
         return response
 
 
+def post_json(
+    url: str,
+    payload: dict,
+    error: type[Exception],
+    timeout: float,
+    parse=lambda data: data,
+    headers: dict | None = None,
+    max_attempts: int = 3,
+    backoff_s: float = 0.5,
+):
+    """POST ``payload`` as JSON and return ``parse`` of the decoded reply.
+
+    One ``requests.post`` per attempt. A connection error or timeout, a 429
+    or 5xx status, and a reply body ``parse`` cannot read are retried, up to
+    ``max_attempts`` attempts in all, sleeping ``backoff_s`` and doubling it
+    between them; any other HTTP error status fails at once. Failure raises
+    ``error`` naming the URL and the last cause.
+    """
+    delay = backoff_s
+    for attempt in range(1, max_attempts + 1):
+        try:
+            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+            if resp.status_code == 429 or resp.status_code >= 500:
+                raise requests.HTTPError(f"status {resp.status_code}", response=resp)
+            if resp.status_code >= 400:
+                raise error(f"request to {url} failed: status {resp.status_code}")
+            return parse(resp.json())
+        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+            if attempt == max_attempts:
+                raise error(
+                    f"request to {url} failed after {max_attempts} attempts: {exc}"
+                ) from exc
+            logger.warning("attempt %d/%d at %s failed (%s); retrying in %.1fs",
+                           attempt, max_attempts, url, exc, delay)
+            time.sleep(delay)
+            delay *= 2
+
+
 class LiveBackend:
     """Chat-completions client over an OpenAI-style JSON endpoint.
 
@@ -116,26 +154,8 @@ class LiveBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-
-        delay = self.backoff_s
-        last_error = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise requests.HTTPError(f"status {resp.status_code}", response=resp)
-                resp.raise_for_status()
-                data = resp.json()
-                return data["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                last_error = exc
-                if attempt < self.max_attempts:
-                    logger.warning("chat attempt %d/%d failed (%s); retrying in %.1fs",
-                                   attempt, self.max_attempts, exc, delay)
-                    time.sleep(delay)
-                    delay *= 2
-        raise LlmTransportError(
-            f"chat request to {self.endpoint} failed after {self.max_attempts} attempts: {last_error}"
+        return post_json(
+            self.endpoint, payload, LlmTransportError, self.timeout,
+            parse=lambda data: data["choices"][0]["message"]["content"],
+            headers=headers, max_attempts=self.max_attempts, backoff_s=self.backoff_s,
         )

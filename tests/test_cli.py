@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -334,6 +335,36 @@ class TestJointAndReport:
         result = invoke("report", "--run-dir", str(run_dir))
         assert result.exit_code == 0
         assert "avg_llm_calls" in result.output
+
+    def test_resume_after_the_last_question_and_pretrain_starts_a_new_log(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa, script = write_joint_inputs(tmp_path)
+        invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        with np.load(run_dir / "completer.npz", allow_pickle=False) as data:
+            trained = data["entity_vecs"]
+            assert int(data["log_lines"]) == 1
+
+        result = invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script), "--resume")
+        assert result.exit_code == 0, result.output
+        assert "0 questions" in result.output
+        with np.load(run_dir / "completer.npz", allow_pickle=False) as data:
+            assert np.array_equal(data["entity_vecs"], trained)
+        assert len((run_dir / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+
+        invoke("pretrain", *cfg)
+        assert not (run_dir / "trajectories.jsonl").exists()
+        assert not (run_dir / "paths.jsonl").exists()
+
+        invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        (run_dir / "trajectories.jsonl").unlink()  # the snapshot now includes a lost line
+        result = CliRunner().invoke(
+            main, ["train-joint", *cfg, "--qa", str(qa), "--scripted", str(script), "--resume"]
+        )
+        assert result.exit_code == 1
+        assert "run `kbloop pretrain` again" in result.output
 
     def test_train_joint_uses_configured_llm_params(self, workspace, monkeypatch):
         tmp_path, config_path = workspace

@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from kbloop import llm
 from kbloop.completer import (
     CompleterTransportError,
     CompletionQuery,
@@ -318,6 +319,53 @@ class TestCheckpoint:
             p.entity for p in model.predict(q, kb, 5)
         ]
 
+    def test_no_pickles_and_the_rng_state_survives(self, tmp_path):
+        kb = toy_kb()
+        model = NativeCompleter(kb, dim=8, seed=2)
+        model.pretrain(sorted(kb.triples), kb, TrainingConfig(epochs=2, seed=2))
+        path = tmp_path / "model.npz"
+        model.save(path, log_lines=3, replay_rng_state="{}")
+        with np.load(path, allow_pickle=False) as data:
+            assert data["entity_ids"].dtype.kind == "U"
+            assert data["relation_ids"].dtype.kind == "U"
+            assert data["rng_state"].dtype.kind == "U"
+            assert int(data["log_lines"]) == 3
+        loaded = NativeCompleter.load(path)
+        assert loaded.entity_ids == model.entity_ids
+        assert loaded.relation_ids == model.relation_ids
+        assert loaded._rng.random() == model._rng.random()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        kb = toy_kb()
+        model = NativeCompleter(kb, dim=8, seed=2)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        before = path.read_bytes()
+
+        def disk_full(fh, **arrays):
+            fh.write(b"partial")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", disk_full)
+        with pytest.raises(OSError):
+            model.save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+
+class TestReplayMemoryState:
+    def test_state_roundtrip_and_seeded_start(self):
+        memory = ReplayMemory([Triple(f"e{i}", "r", f"e{i + 1}") for i in range(30)], seed=4)
+        start = memory.get_state()
+        first = memory.sample(5)
+        state = memory.get_state()
+        second = memory.sample(5)
+        memory.set_state(state)
+        assert memory.sample(5) == second
+        memory.set_state("")
+        assert memory.get_state() == start
+        assert memory.sample(5) == first
+
 
 class StubTransport:
     """In-process stand-in for the completion service."""
@@ -420,7 +468,52 @@ class TestRemoteOverHttp:
             server.shutdown()
             thread.join()
 
-    def test_unreachable_endpoint(self, bieber_kb):
+    def test_unreachable_endpoint(self, bieber_kb, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
         remote = RemoteCompleter("http://127.0.0.1:9", timeout=0.2)
-        with pytest.raises(CompleterTransportError):
+        with pytest.raises(CompleterTransportError, match="after 3 attempts"):
             remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 1)
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("status, attempts", [(503, 3), (429, 3), (400, 1)])
+    def test_retries_transient_statuses_only(self, bieber_kb, monkeypatch, status, attempts):
+        monkeypatch.setattr(llm.time, "sleep", lambda s: None)
+        _FlakyCompletionHandler.fail_first = 2
+        _FlakyCompletionHandler.status = status
+        _FlakyCompletionHandler.seen = 0
+        server = HTTPServer(("127.0.0.1", 0), _FlakyCompletionHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            remote = RemoteCompleter(f"http://127.0.0.1:{server.server_port}", r_samples=5)
+            query = CompletionQuery.tail_query("Q34086", "P22")
+            if status == 400:
+                with pytest.raises(CompleterTransportError, match="status 400"):
+                    remote.predict(query, bieber_kb, 2)
+            else:
+                assert [p.entity for p in remote.predict(query, bieber_kb, 2)] == ["Q16004214"]
+        finally:
+            server.shutdown()
+            thread.join()
+        assert _FlakyCompletionHandler.seen == attempts
+
+
+class _FlakyCompletionHandler(_CompletionHandler):
+    """Answers ``status`` to the first ``fail_first`` requests."""
+
+    samples = [{"text": "Jeremy Bieber", "logprob": -0.4}]
+    fail_first = 0
+    status = 503
+    seen = 0
+
+    def do_POST(self):
+        cls = type(self)
+        cls.seen += 1
+        if cls.seen <= cls.fail_first:
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(cls.status)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        super().do_POST()

@@ -1,5 +1,7 @@
 """Joint loop: episodes feed reasoning paths into incremental fine-tuning."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,16 @@ from kbloop.completer import (
     CompletionQuery,
     NativeCompleter,
     TrainingConfig,
+    TrainingError,
 )
-from kbloop.joint import QaExample, RunLog, load_qa_examples, run_joint_training, train_joint
+from kbloop.joint import (
+    QaExample,
+    RunLog,
+    RunLogError,
+    load_qa_examples,
+    run_joint_training,
+    train_joint,
+)
 from kbloop.kb import Triple
 from kbloop.llm import LlmTransportError, ScriptedBackend
 
@@ -214,3 +224,199 @@ class TestPersistence:
         assert len(result.records) == 1  # only the second question ran
         assert log.completed_questions() == 2
         assert log.paths_path.exists()
+
+
+class Crash(Exception):
+    """Stands in for a kill: nothing in the loop catches it."""
+
+
+def kill(*args, **kwargs):
+    raise Crash()
+
+
+class CrashingBackend:
+    """Scripted replies; the call numbered ``crash_at`` (1-based) raises."""
+
+    def __init__(self, script, crash_at=None):
+        self.inner = ScriptedBackend(script)
+        self.calls = 0
+        self.crash_at = crash_at
+
+    def chat(self, turns, params=None):
+        self.calls += 1
+        if self.calls == self.crash_at:
+            raise Crash()
+        return self.inner.chat(turns, params)
+
+
+class TestWriteAheadLog:
+    """``trajectories.jsonl`` is the record of truth; ``completer.npz`` is a
+    snapshot taken by ``pretrain`` and at the end of a run. Interrupting a
+    run anywhere and resuming must give the uninterrupted run bit for bit."""
+
+    N = 4  # questions in the sweep
+    CALLS = 5  # chat calls per scripted question
+
+    def sweep(self, skip=None):
+        indices = [i for i in range(self.N) if i != skip]
+        qa = [QaExample(f"q {i}?", (f"e{i}",), (f"E{i + 5}",)) for i in indices]
+        scripts = [generate_episode_script(f"E{i}", f"E{i + 5}") for i in indices]
+        return qa, scripts
+
+    def start(self, run_dir):
+        """A run directory as ``pretrain`` leaves it."""
+        # 39 pool triples, 10 replay draws per path triple: the replay RNG matters
+        kb = chain_kb(40)
+        pretrain = sorted(kb.triples)
+        config = TrainingConfig(epochs=3, seed=0, finetune_passes=3)
+        model = NativeCompleter(kb, dim=8, seed=0)
+        model.pretrain(pretrain, kb, config)
+        RunLog(run_dir).restart(model)
+        self.setup = kb, pretrain, config
+
+    def run(self, run_dir, qa, script, crash_at=None, resume=False):
+        kb, pretrain, config = self.setup
+        model = NativeCompleter.load(run_dir / "completer.npz")
+        return run_joint_training(
+            run_dir, kb, qa, model, CrashingBackend(script, crash_at), resume=resume,
+            train_config=config, pretrain_triples=pretrain,
+        )
+
+    def outcome(self, run_dir):
+        """Everything a run leaves that must repeat, timing aside."""
+        model = NativeCompleter.load(run_dir / "completer.npz")
+        with np.load(run_dir / "completer.npz", allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        lines = [json.loads(line) for line in (run_dir / "trajectories.jsonl").open(encoding="utf-8")]
+        for line in lines:
+            line.pop("wall_time_s")
+        return model, arrays, lines, (run_dir / "paths.jsonl").read_bytes()
+
+    def assert_same(self, got, want):
+        got_model, got_arrays, got_lines, got_paths = got
+        want_model, want_arrays, want_lines, want_paths = want
+        delta = np.abs(got_model.entity_vecs - want_model.entity_vecs).max()
+        assert delta == 0, f"entity tables differ: max |delta| {delta:.3g}"
+        assert np.array_equal(got_model.relation_vecs, want_model.relation_vecs)
+        assert got_arrays.keys() == want_arrays.keys()
+        for name in want_arrays:
+            assert np.array_equal(got_arrays[name], want_arrays[name]), name
+        assert got_lines == want_lines
+        assert got_paths == want_paths
+
+    @pytest.fixture()
+    def reference(self, tmp_path):
+        """The uninterrupted sweep."""
+        run_dir = tmp_path / "reference"
+        self.start(run_dir)
+        qa, scripts = self.sweep()
+        self.run(run_dir, qa, sum(scripts, []))
+        return self.outcome(run_dir)
+
+    @pytest.mark.parametrize("k", range(N))
+    def test_interrupt_after_k_questions_then_resume(self, tmp_path, reference, k):
+        run_dir = tmp_path / "run"
+        self.start(run_dir)
+        qa, scripts = self.sweep()
+        with pytest.raises(Crash):  # killed as question k starts
+            self.run(run_dir, qa, sum(scripts, []), crash_at=k * self.CALLS + 1)
+        assert RunLog(run_dir).completed_questions() == k
+        self.run(run_dir, qa, sum(scripts[k:], []), resume=True)
+        self.assert_same(self.outcome(run_dir), reference)
+
+    def test_torn_last_line_resumes_as_if_that_question_never_ran(self, tmp_path, reference):
+        run_dir = tmp_path / "run"
+        self.start(run_dir)
+        qa, scripts = self.sweep()
+        with pytest.raises(Crash):
+            self.run(run_dir, qa, sum(scripts, []), crash_at=2 * self.CALLS + 1)
+        line = json.dumps(reference[2][2], sort_keys=True)  # question 2, cut mid-append
+        with open(run_dir / "trajectories.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(line[: len(line) // 2])
+        self.run(run_dir, qa, sum(scripts[2:], []), resume=True)
+        self.assert_same(self.outcome(run_dir), reference)
+
+    def test_kill_before_the_end_snapshot_loses_nothing(self, tmp_path, reference, monkeypatch):
+        run_dir = tmp_path / "run"
+        self.start(run_dir)
+        qa, scripts = self.sweep()
+        before = (run_dir / "completer.npz").read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(RunLog, "save_checkpoint", kill)
+            with pytest.raises(Crash):
+                self.run(run_dir, qa, sum(scripts, []))
+        assert (run_dir / "completer.npz").read_bytes() == before  # nothing written per question
+        assert RunLog(run_dir).completed_questions() == self.N
+        result = self.run(run_dir, qa, [], resume=True)  # replays the log, asks nothing
+        assert result.records == []
+        self.assert_same(self.outcome(run_dir), reference)
+
+    def diverge_at(self, monkeypatch, index):
+        """The ``index``-th fine-tune raises a non-finite loss on its second
+        step, after its first step has moved the weights and both RNGs."""
+        real_finetune = NativeCompleter.incremental_finetune
+        real_step = NativeCompleter._step
+        calls = []
+
+        def finetune(model, *args, **kwargs):
+            calls.append(model)
+            if len(calls) - 1 != index:
+                return real_finetune(model, *args, **kwargs)
+            steps = []
+
+            def step(batch, lr):
+                steps.append(batch)
+                if len(steps) == 2:
+                    raise TrainingError(f"non-finite loss on batch of size {len(batch)}")
+                return real_step(model, batch, lr)
+
+            model._step = step
+            try:
+                return real_finetune(model, *args, **kwargs)
+            finally:
+                del model._step
+
+        monkeypatch.setattr(NativeCompleter, "incremental_finetune", finetune)
+
+    @pytest.mark.parametrize("index", range(N))
+    def test_non_finite_loss_skips_the_question(self, tmp_path, monkeypatch, index):
+        without = tmp_path / "without"  # the sweep without that question
+        self.start(without)
+        qa, scripts = self.sweep(skip=index)
+        self.run(without, qa, sum(scripts, []))
+        _, want_arrays, _, _ = self.outcome(without)
+
+        qa, scripts = self.sweep()
+        runs = {}
+        for name in ("whole", "resumed"):
+            run_dir = tmp_path / name
+            self.start(run_dir)
+            with monkeypatch.context() as patch:
+                self.diverge_at(patch, index)
+                if name == "whole":
+                    result = self.run(run_dir, qa, sum(scripts, []))
+                else:  # killed before the end snapshot, then resumed from the log
+                    patch.setattr(RunLog, "save_checkpoint", kill)
+                    with pytest.raises(Crash):
+                        self.run(run_dir, qa, sum(scripts, []))
+            if name == "resumed":
+                self.run(run_dir, qa, [], resume=True)
+            runs[name] = self.outcome(run_dir)
+
+        assert "non-finite loss" in result.records[index].error
+        assert [r.finetuned for r in result.records] == [i != index for i in range(self.N)]
+        lines = runs["whole"][2]
+        assert [line["finetuned"] for line in lines] == [i != index for i in range(self.N)]
+        got_arrays = runs["whole"][1]
+        for name in ("entity_vecs", "relation_vecs", "rng_state", "replay_rng_state"):
+            assert np.array_equal(got_arrays[name], want_arrays[name]), name
+        self.assert_same(runs["resumed"], runs["whole"])
+
+    def test_snapshot_ahead_of_the_log_is_an_error(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.start(run_dir)
+        qa, scripts = self.sweep()
+        self.run(run_dir, qa[:1], scripts[0])
+        (run_dir / "trajectories.jsonl").unlink()
+        with pytest.raises(RunLogError, match="includes 1 question log lines"):
+            self.run(run_dir, qa, [], resume=True)
