@@ -313,15 +313,15 @@ def exec_search(surfaces, thought, trajectory, kb, llm, config: AgentConfig) -> 
         )
         for rid in _pick_relations(reply, rels, kb, config.relations_per_search):
             for t in kb.neighbors(eid):
-                if t.relation != rid or t in seen:
+                h, r, x = t
+                if r != rid or t in seen:
                     continue
                 if len(obs.triples) >= config.max_search_triples:
                     break
                 seen.add(t)
                 obs.triples.append(
                     SurfaceTriple(
-                        kb.label_of(t.head), kb.relation_label(t.relation),
-                        kb.label_of(t.tail), relation_id=t.relation,
+                        kb.label_of(h), kb.relation_label(r), kb.label_of(x), relation_id=r,
                     )
                 )
     return obs

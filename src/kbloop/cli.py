@@ -174,7 +174,7 @@ def pretrain(config_path, run_dir):
 @click.option("--run-dir", type=click.Path(), required=True)
 @click.option("--qa", "qa_path", type=click.Path(), required=True, help="QA training set (JSONL).")
 @click.option("--scripted", type=click.Path(), default=None, help="Scripted chat transcript (JSONL).")
-@click.option("--resume", is_flag=True, help="Skip the questions the run's log already holds.")
+@click.option("--resume", is_flag=True, help="Continue the log's current sweep after its last question.")
 def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
     """Run the joint loop: episodes, path parsing, incremental fine-tuning."""
     cfg = _load_run_config(config_path)
@@ -225,9 +225,9 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
     if filtered:
         known_tails = {(q.head, q.relation): set() for q in queries}
         for name in ("train.tsv", "valid.tsv", "test.tsv"):
-            for t in kb_mod.read_triples(Path(run_dir) / name):
-                if (t.head, t.relation) in known_tails:
-                    known_tails[t.head, t.relation].add(t.tail)
+            for h, r, t in kb_mod.read_triples(Path(run_dir) / name):
+                if (h, r) in known_tails:
+                    known_tails[h, r].add(t)
 
     index = working_kb.entity_index
     ranks = []

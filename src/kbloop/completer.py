@@ -177,7 +177,7 @@ class NativeCompleter:
 
     def _encode(self, triples) -> np.ndarray:
         return np.array(
-            [(self._eidx(t.head), self._ridx(t.relation), self._eidx(t.tail)) for t in triples],
+            [(self._eidx(h), self._ridx(r), self._eidx(t)) for h, r, t in triples],
             dtype=np.int64,
         )
 

@@ -69,6 +69,7 @@ class JointRecord:
     path: ReasoningPath | None
     finetuned: bool
     error: str = ""
+    position: int = 0  # the question's index in its sweep
 
 
 @dataclass
@@ -90,8 +91,10 @@ def train_joint(
     params: LlmParams | None = None,
     memory: ReplayMemory | None = None,
     rollback=None,
+    start: int = 0,
 ) -> JointResult:
-    """Run the loop over ``qa_train`` in input order.
+    """Run the loop over ``qa_train`` in input order; its first question is
+    at position ``start`` of its sweep.
 
     The completer must be trained. The replay memory (``memory``, or a fresh
     one seeded with ``train_config.seed``) samples ``pretrain_triples``.
@@ -110,7 +113,7 @@ def train_joint(
     replay_memory = memory or ReplayMemory(pretrain_triples, seed=train_config.seed)
 
     result = JointResult(completer=completer)
-    for idx, example in enumerate(qa_train):
+    for position, example in enumerate(qa_train, start=start):
         path, error, finetuned = None, "", False
         try:
             trajectory = run_episode(
@@ -144,8 +147,9 @@ def train_joint(
             error = str(exc)
             completer = result.completer = rollback()
         if error:
-            logger.warning("question %d skipped: %s", idx, error)
-        record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error)
+            logger.warning("question %d skipped: %s", position, error)
+        record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error,
+                             position=position)
         result.records.append(record)
         if sink:
             sink(record)
@@ -158,7 +162,8 @@ class RunLog:
     * ``trajectories.jsonl`` is the write-ahead question log and the record
       of truth: one line per question, appended and fsynced before the next
       question starts. The line is the trajectory with its ``error``, its
-      reasoning ``path`` (``null`` when none was parsed) and ``finetuned``.
+      reasoning ``path`` (``null`` when none was parsed), ``finetuned`` and
+      ``position``, the question's index in its sweep.
     * ``completer.npz`` is a snapshot of a native completer, written by
       ``pretrain`` and at the end of each joint run, never per question. It
       also stores ``log_lines``, how many log lines it already includes, and
@@ -194,10 +199,23 @@ class RunLog:
     def completed_questions(self) -> int:
         return len(self.entries())
 
+    def next_position(self) -> int:
+        """The sweep position after the log's last line, where a resumed
+        sweep continues; 0 for an empty log."""
+        entries = self.entries()
+        if not entries:
+            return 0
+        if "position" not in entries[-1]:
+            raise RunLogError(
+                f"{self.trajectories_path} records no sweep positions; run `kbloop pretrain` again"
+            )
+        return entries[-1]["position"] + 1
+
     def append(self, record: JointRecord) -> None:
         entry = record.trajectory.to_dict(include_timing=True)
         entry["error"] = record.error
         entry["finetuned"] = record.finetuned
+        entry["position"] = record.position
         entry["path"] = record.path.to_dict() if record.path is not None else None
         append_line(self.trajectories_path, json.dumps(entry, ensure_ascii=False, sort_keys=True))
 
@@ -266,11 +284,12 @@ def run_joint_training(
     is none yet, the model to start from; then a native completer is
     pretrained if need be and snapshotted before the first question. The run
     first replays the log lines after the snapshot, so it continues from the
-    end of the log; with ``resume`` it also skips as many questions of
-    ``qa_train`` as the log holds. A diverging fine-tune is rolled back by
+    end of the log. With ``resume`` it continues the log's current sweep: it
+    skips the questions of ``qa_train`` up to the position of the log's last
+    line, not those of earlier sweeps. A diverging fine-tune is rolled back by
     reloading the snapshot and replaying the log. A remote completer's
-    service owns its training state, so for it the log only counts the
-    questions to skip.
+    service owns its training state, so for it the log only tells where
+    the sweep continues.
     """
     log = RunLog(run_dir)
     train_config = train_config or TrainingConfig()
@@ -293,16 +312,17 @@ def run_joint_training(
         def rollback():
             return log.replay(type(completer).load(log.checkpoint_path), memory, finetune)
 
-    done = log.completed_questions()  # also drops a torn last line before any append
+    log.entries()  # drops a torn last line before any append
+    start = log.next_position() if resume else 0
     if resume:
-        logger.info("resuming after %d logged questions", done)
-        qa_train = list(qa_train)[done:]
+        logger.info("resuming the sweep at question %d", start)
+        qa_train = list(qa_train)[start:]
 
     started = time.perf_counter()
     result = train_joint(
         kb, qa_train, completer, llm, pretrain_triples,
         train_config=train_config, samples_per_triple=samples_per_triple,
-        sink=log.append, memory=memory, rollback=rollback, **kwargs,
+        sink=log.append, memory=memory, rollback=rollback, start=start, **kwargs,
     )
     log.save_checkpoint(result.completer, memory)
     log.write_paths()

@@ -14,9 +14,11 @@ different triple set is a new store.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +50,10 @@ def normalize_label(surface: str) -> str:
     return " ".join(surface.split()).casefold()
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class Triple(NamedTuple):
+    """A directed edge. A plain immutable tuple: it sorts, compares and
+    hashes as ``(head, relation, tail)``."""
+
     head: EntityId
     relation: RelationId
     tail: EntityId
@@ -102,7 +106,14 @@ class KnowledgeBase:
         self.relations: dict[RelationId, RelationRecord] = {}
         self._catalog: dict[str, list[EntityId]] = {}
         for rec in entities:
-            self._add_entity(rec)
+            if not rec.id:
+                raise KbLoadError("entity id must be non-empty")
+            if not rec.label:
+                raise KbLoadError(f"entity {rec.id!r} has an empty label")
+            if rec.id in self.entities:
+                raise KbLoadError(f"duplicate entity id {rec.id!r}")
+            self.entities[rec.id] = rec
+            self._catalog.setdefault(normalize_label(rec.label), []).append(rec.id)
         for ids in self._catalog.values():
             ids.sort()
         for rec in relations:
@@ -117,48 +128,34 @@ class KnowledgeBase:
         for r, rec in sorted(self.relations.items()):
             self._relation_catalog.setdefault(normalize_label(rec.label), []).append(r)
 
-        self.triples: set[Triple] = set()
-        self.out_index: dict[EntityId, list[Triple]] = {}
-        self.in_index: dict[EntityId, list[Triple]] = {}
+        # one pass over the triples fills the set, both adjacency lists and,
+        # for co-occurrence counting, relation id -> set of incident entities
+        triple_set, out_index, in_index = set(), {}, {}
+        relation_entities = {r: set() for r in self.relations}
         for t in triples:
-            self._add_triple(t)
-        for adj in (self.out_index, self.in_index):
-            for key in adj:
-                adj[key].sort()
-
-        # relation id -> set of incident entities, for co-occurrence counting
-        self._relation_entities: dict[RelationId, set[EntityId]] = {
-            r: set() for r in self.relations
-        }
-        for t in self.triples:
-            if not t.is_noop():
-                self._relation_entities[t.relation].add(t.head)
-                self._relation_entities[t.relation].add(t.tail)
-
-    # -- construction ----------------------------------------------------
-
-    def _add_entity(self, rec: EntityRecord) -> None:
-        if not rec.id:
-            raise KbLoadError("entity id must be non-empty")
-        if not rec.label:
-            raise KbLoadError(f"entity {rec.id!r} has an empty label")
-        if rec.id in self.entities:
-            raise KbLoadError(f"duplicate entity id {rec.id!r}")
-        self.entities[rec.id] = rec
-        self._catalog.setdefault(normalize_label(rec.label), []).append(rec.id)
-
-    def _add_triple(self, t: Triple) -> None:
-        if t.head not in self.entities:
-            raise UnknownEntityError(f"triple references unknown entity {t.head!r}")
-        if t.tail not in self.entities:
-            raise UnknownEntityError(f"triple references unknown entity {t.tail!r}")
-        if t.relation not in self.relations:
-            raise UnknownRelationError(f"triple references unknown relation {t.relation!r}")
-        if t in self.triples:
-            return
-        self.triples.add(t)
-        self.out_index.setdefault(t.head, []).append(t)
-        self.in_index.setdefault(t.tail, []).append(t)
+            if t in triple_set:
+                continue
+            h, r, x = t
+            if h not in self.entities:
+                raise UnknownEntityError(f"triple references unknown entity {h!r}")
+            if x not in self.entities:
+                raise UnknownEntityError(f"triple references unknown entity {x!r}")
+            if r not in self.relations:
+                raise UnknownRelationError(f"triple references unknown relation {r!r}")
+            triple_set.add(t)
+            out_index.setdefault(h, []).append(t)
+            in_index.setdefault(x, []).append(t)
+            if r != NOOP_RELATION:
+                incident = relation_entities[r]
+                incident.add(h)
+                incident.add(x)
+        for adj in (out_index, in_index):
+            for ts in adj.values():
+                ts.sort()
+        self.triples: set[Triple] = triple_set
+        self.out_index: dict[EntityId, list[Triple]] = out_index
+        self.in_index: dict[EntityId, list[Triple]] = in_index
+        self._relation_entities: dict[RelationId, set[EntityId]] = relation_entities
 
     # -- lookups ----------------------------------------------------------
 
@@ -212,23 +209,18 @@ class KnowledgeBase:
         """All triples incident to ``e`` in either direction, noop loops
         excluded, sorted by (relation, counterpart, head, tail)."""
         self.entity(e)
-        seen = set()
-        out = []
-        for t in self.out_index.get(e, []) + self.in_index.get(e, []):
-            if t.is_noop() or t in seen:
-                continue
-            seen.add(t)
-            out.append(t)
-        out.sort(key=lambda t: (t.relation, t.tail if t.head == e else t.head, t.head, t.tail))
-        return out
+        # a self-loop is in both lists; it is taken from the outgoing one
+        found = [t for t in self.out_index.get(e, ()) if t[1] != NOOP_RELATION]
+        found += [t for t in self.in_index.get(e, ()) if t[1] != NOOP_RELATION and t[0] != e]
+        found.sort(key=lambda t: (t[1], t[2] if t[0] == e else t[0], t[0], t[2]))
+        return found
 
     def relations_of(self, e: EntityId) -> set[RelationId]:
         """Relations incident to ``e`` in either direction, noop excluded."""
         self.entity(e)
-        rels = set()
-        for t in self.out_index.get(e, []) + self.in_index.get(e, []):
-            if not t.is_noop():
-                rels.add(t.relation)
+        rels = {r for _, r, _ in self.out_index.get(e, ())}
+        rels.update(r for _, r, _ in self.in_index.get(e, ()))
+        rels.discard(NOOP_RELATION)
         return rels
 
     def cooccurrence_score(self, r: RelationId, r_hat: RelationId) -> int:
@@ -258,13 +250,13 @@ class KnowledgeBase:
         self.relation(r)
         ranked = []
         for t in self.neighbors(h):
-            if t.head == h and t.relation == r:
+            head, rel, tail = t
+            if head == h and rel == r:
                 continue
-            score = self.cooccurrence_score(r, t.relation)
-            counterpart = t.tail if t.head == h else t.head
-            ranked.append((-score, t.relation, counterpart, t.head, t.tail, t))
-        ranked.sort(key=lambda item: item[:5])
-        return [item[5] for item in ranked[:max_size]]
+            counterpart = tail if head == h else head
+            ranked.append((-self.cooccurrence_score(r, rel), rel, counterpart, t))
+        ranked.sort()
+        return [item[3] for item in ranked[:max_size]]
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +365,13 @@ def split(kb: KnowledgeBase, n_valid: int, n_test: int, seed: int) -> SplitBundl
         raise ValueError(
             f"n_valid + n_test = {n_valid + n_test} must be smaller than |triples| = {len(pool)}"
         )
-    rng = random.Random(seed)
-    rng.shuffle(pool)
-    valid = tuple(sorted(pool[:n_valid]))
-    test = tuple(sorted(pool[n_valid:n_valid + n_test]))
-    train = tuple(sorted(pool[n_valid + n_test:]))
+    shuffled = list(pool)
+    random.Random(seed).shuffle(shuffled)
+    valid = tuple(sorted(shuffled[:n_valid]))
+    test = tuple(sorted(shuffled[n_valid:n_valid + n_test]))
+    # the rest of the pool, in its sorted order: no sort of the shuffled bulk
+    held_out = set(valid).union(test)
+    train = tuple(itertools.filterfalse(held_out.__contains__, pool))
     return SplitBundle(train=train, valid=valid, test=test)
 
 
@@ -391,18 +385,17 @@ def degrade(train, keep_fraction: float, seed: int, kb: KnowledgeBase) -> set[Tr
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    pool = sorted(set(train))
+    # sorted() is linear on an already sorted split; groupby drops repeats
+    pool = [t for t, _ in itertools.groupby(sorted(train))]
     if keep_fraction == 1.0:
         return set(pool)
     keep_n = int(keep_fraction * len(pool) + 0.5)
     rng = random.Random(seed)
     kept = set(rng.sample(pool, keep_n))
     covered = set()
-    for t in kept:
-        if not t.is_noop():
-            covered.add(t.head)
-            covered.add(t.tail)
-    for e in kb.entities:
-        if e not in covered:
-            kept.add(Triple(e, NOOP_RELATION, e))
+    for h, r, t in kept:
+        if r != NOOP_RELATION:
+            covered.add(h)
+            covered.add(t)
+    kept.update(Triple(e, NOOP_RELATION, e) for e in kb.entities if e not in covered)
     return kept

@@ -1,6 +1,8 @@
 """Command-line flows over a temp run directory."""
 
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -97,6 +99,57 @@ class TestPrepare:
     def test_unknown_subcommand_exits_2(self):
         result = CliRunner().invoke(main, ["frobnicate"])
         assert result.exit_code == 2
+
+
+# sha256 of each file `kb prepare` writes for the seeded input of
+# `pinned_inputs`, recorded when `Triple` was still a frozen dataclass
+PINNED_PREPARE_SHA256 = {
+    "train.tsv": "d7601114784526dd783bf191fa097b3863afa1ada5fdd2aec7f3e8cd29cfe0f7",
+    "valid.tsv": "285b91ee2c5407b6ae45f94e860594161125bb07de3c27b9b86a5055626066a8",
+    "test.tsv": "6fb9198bea71420755cff6953bb52229c1e0e02d6f67ce727431d9df8039b528",
+    "working_triples.tsv": "2872ab2bb793351b4fe4b9edd6c384119aa0260124bd132d8342de7662ff25c4",
+}
+
+
+def pinned_inputs(tmp_path):
+    """A seeded KB whose triples file lists its 300 distinct triples in a
+    shuffled order, with 60 of them repeated, and ids such as e1, e10, e2."""
+    rng = random.Random(20)
+    n_entities, n_relations = 80, 6
+    triples = set()
+    while len(triples) < 300:
+        triples.add((f"e{rng.randrange(n_entities)}", f"r{rng.randrange(n_relations)}",
+                     f"e{rng.randrange(n_entities)}"))
+    lines = sorted(triples)
+    lines += rng.sample(lines, 60)
+    rng.shuffle(lines)
+    (tmp_path / "triples.tsv").write_text(
+        "".join(f"{h}\t{r}\t{t}\n" for h, r, t in lines), encoding="utf-8"
+    )
+    (tmp_path / "entities.tsv").write_text(
+        "".join(f"e{i}\tEntity {i}\n" for i in range(n_entities)), encoding="utf-8"
+    )
+    (tmp_path / "relations.tsv").write_text(
+        "".join(f"r{j}\trel {j}\n" for j in range(n_relations)), encoding="utf-8"
+    )
+    return [
+        "--triples", str(tmp_path / "triples.tsv"),
+        "--entities", str(tmp_path / "entities.tsv"),
+        "--relations", str(tmp_path / "relations.tsv"),
+        "--n-valid", "20", "--n-test", "25", "--keep-fraction", "0.6", "--seed", "13",
+    ]
+
+
+class TestPrepareOutputsArePinned:
+    def test_split_and_working_files_match_recorded_hashes(self, tmp_path):
+        run_dir = tmp_path / "run"
+        result = invoke("kb", "prepare", *pinned_inputs(tmp_path), "--run-dir", str(run_dir))
+        assert result.exit_code == 0, result.output
+        digests = {
+            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in PINNED_PREPARE_SHA256
+        }
+        assert digests == PINNED_PREPARE_SHA256
 
 
 class TestPretrainAndEval:

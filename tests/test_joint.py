@@ -324,6 +324,24 @@ class TestWriteAheadLog:
         self.run(run_dir, qa, sum(scripts[k:], []), resume=True)
         self.assert_same(self.outcome(run_dir), reference)
 
+    def test_resume_skips_only_the_current_sweeps_questions(self, tmp_path):
+        qa, scripts = self.sweep()
+        want = tmp_path / "reference"  # two whole sweeps over the same questions
+        self.start(want)
+        for _ in range(2):
+            self.run(want, qa, sum(scripts, []))
+
+        run_dir = tmp_path / "run"
+        self.start(run_dir)
+        self.run(run_dir, qa, sum(scripts, []))
+        with pytest.raises(Crash):  # the second sweep is killed as its question 1 starts
+            self.run(run_dir, qa, sum(scripts, []), crash_at=self.CALLS + 1)
+        result = self.run(run_dir, qa, sum(scripts[1:], []), resume=True)
+        assert [r.trajectory.question for r in result.records] == [ex.question for ex in qa[1:]]
+        self.assert_same(self.outcome(run_dir), self.outcome(want))
+        positions = [line["position"] for line in self.outcome(run_dir)[2]]
+        assert positions == list(range(self.N)) * 2
+
     def test_torn_last_line_resumes_as_if_that_question_never_ran(self, tmp_path, reference):
         run_dir = tmp_path / "run"
         self.start(run_dir)

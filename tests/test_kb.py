@@ -1,6 +1,7 @@
 """Triple store: loading, splitting, degradation, adjacency, co-occurrence,
 and context selection against brute-force oracles."""
 
+import json
 import random
 
 import pytest
@@ -35,6 +36,38 @@ def write_kb_files(tmp_path, triples, entities, relations):
 
 BASE_ENTITIES = {"a": ("Alpha", ""), "b": ("Beta", ""), "c": ("Gamma", "")}
 BASE_RELATIONS = {"r1": ("likes", "", ""), "r2": ("knows", "", "")}
+
+
+class TestTriple:
+    def test_sorted_order_is_field_tuple_order(self):
+        ids = [f"e{i}" for i in (1, 10, 2, 20, 3)]
+        rng = random.Random(5)
+        fields = [(rng.choice(ids), rng.choice(["r1", "r10", "r2"]), rng.choice(ids))
+                  for _ in range(200)]
+        assert [(t.head, t.relation, t.tail) for t in sorted(Triple(*f) for f in fields)] == sorted(fields)
+        assert sorted([Triple("e2", "r", "e1"), Triple("e10", "r", "e1"), Triple("e1", "r", "e2")]) == [
+            Triple("e1", "r", "e2"), Triple("e10", "r", "e1"), Triple("e2", "r", "e1")]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        assert hash(Triple("e1", "r", "e10")) == hash(("e1", "r", "e10"))
+        assert Triple("e1", "r", "e10") == Triple("e1", "r", "e10")
+        assert Triple("e1", "r", "e10") != Triple("e10", "r", "e1")
+
+    def test_fields_cannot_be_assigned(self):
+        t = Triple("a", "r", "b")
+        with pytest.raises(AttributeError):
+            t.head = "c"
+        assert t == Triple("a", "r", "b")
+
+    def test_is_noop(self):
+        assert Triple("a", NOOP_RELATION, "a").is_noop()
+        assert not Triple("a", "r", "a").is_noop()
+
+    def test_json_list_round_trips(self):
+        t = Triple("Q1", "P2", "Q3")
+        fields = json.loads(json.dumps([t.head, t.relation, t.tail]))
+        assert Triple(*fields) == t
+        assert Triple(*fields).relation == "P2"
 
 
 class TestLoad:
@@ -158,6 +191,16 @@ class TestDegrade:
         kb = make_kb([(f"e{i}", "r", f"e{i+1}") for i in range(50)])
         train = sorted(kb.triples)
         assert degrade(train, 0.4, 9, kb) == degrade(train, 0.4, 9, kb)
+
+    def test_same_set_from_a_list_a_tuple_or_a_set(self):
+        rng = random.Random(4)
+        kb = random_kb(rng, 60, 4, 200)
+        train = sorted(kb.triples)
+        want = degrade(train, 0.3, seed=2, kb=kb)
+        shuffled = train + train[:20]
+        rng.shuffle(shuffled)
+        for given in (tuple(train), set(train), shuffled, tuple(shuffled)):
+            assert degrade(given, 0.3, seed=2, kb=kb) == want
 
     def test_bad_fraction(self):
         kb = make_kb([("a", "r", "b")])
