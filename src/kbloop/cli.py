@@ -29,11 +29,12 @@ def _load_run_config(config_path, **overrides) -> config_mod.RunConfig:
         raise click.UsageError(str(exc)) from exc
 
 
-def _full_kb(cfg: config_mod.RunConfig) -> kb_mod.KnowledgeBase:
-    for name in ("triples_path", "entities_path", "relations_path"):
+def _kb_paths(cfg: config_mod.RunConfig) -> list[str]:
+    names = ("triples_path", "entities_path", "relations_path")
+    for name in names:
         if not getattr(cfg, name):
             raise click.UsageError(f"missing {name} (set it in the config file or via flags)")
-    return kb_mod.load_kb(cfg.triples_path, cfg.entities_path, cfg.relations_path)
+    return [getattr(cfg, name) for name in names]
 
 
 def _write_triples(path, triples) -> None:
@@ -136,9 +137,10 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
         triples_path=triples, entities_path=entities, relations_path=relations,
         n_valid=n_valid, n_test=n_test, keep_fraction=keep_fraction, seed=seed,
     )
-    full = _full_kb(cfg)
-    bundle = kb_mod.split(full, cfg.n_valid, cfg.n_test, cfg.seed)
-    working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.seed, full)
+    # the full KB is only split and degraded, so it is read and checked, not indexed
+    entities, _, triples = kb_mod.read_kb(*_kb_paths(cfg))
+    bundle = kb_mod.split(triples, cfg.n_valid, cfg.n_test, cfg.seed)
+    working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.seed, [e.id for e in entities])
 
     out = Path(run_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,7 +253,7 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
 def answer(config_path, run_dir, question, topic, scripted):
     """Answer one question with the agent loop."""
     cfg = _load_run_config(config_path)
-    working_kb = _working_kb(run_dir) if run_dir else _full_kb(cfg)
+    working_kb = _working_kb(run_dir) if run_dir else kb_mod.load_kb(*_kb_paths(cfg))
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
     backend = _backend(cfg, scripted)
     topics = [t.strip() for t in topic.split(",") if t.strip()]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import urllib.parse
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -89,9 +90,11 @@ class RunConfig:
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a config from an optional flat JSON file and override pairs.
 
-    A file that does not hold a JSON object, and an unknown key, raise
-    :class:`ValueError`. Environment variables supply the chat
-    endpoint/model/credential when the file and overrides leave them empty.
+    A file that does not hold a JSON object, an unknown key, and an
+    ``llm_endpoint`` or ``completer_endpoint`` that is set but is not an
+    ``http``/``https`` URL with a host raise :class:`ValueError`.
+    Environment variables supply the chat endpoint/model/credential when the
+    file and overrides leave them empty.
     """
     data = {}
     if path is not None:
@@ -114,7 +117,21 @@ def load_config(path=None, overrides=None) -> RunConfig:
         config.llm_endpoint = os.environ.get(ENV_LLM_ENDPOINT, "")
     if not config.llm_model:
         config.llm_model = os.environ.get(ENV_LLM_MODEL, "")
+    for key in ("llm_endpoint", "completer_endpoint"):
+        _check_endpoint(key, getattr(config, key))
     return config
+
+
+def _check_endpoint(key: str, url) -> None:
+    if not url:
+        return
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises ValueError on a port that is not a number
+    except (AttributeError, TypeError, ValueError):
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"{key} {url!r} must be an http:// or https:// URL with a host")
 
 
 def api_key() -> str:

@@ -62,15 +62,13 @@ class Triple(NamedTuple):
         return self.relation == NOOP_RELATION
 
 
-@dataclass(frozen=True)
-class EntityRecord:
+class EntityRecord(NamedTuple):
     id: EntityId
     label: str
     description: str = ""
 
 
-@dataclass(frozen=True)
-class RelationRecord:
+class RelationRecord(NamedTuple):
     id: RelationId
     label: str
     description: str = ""
@@ -311,15 +309,17 @@ def read_triples(path, entities=None, relations=None) -> list[Triple]:
     return triples
 
 
-def load_kb(triples_path, entities_path, relations_path) -> KnowledgeBase:
-    """Load a knowledge base from three tab-separated files.
+def read_kb(triples_path, entities_path, relations_path):
+    """Read and check the three tab-separated KB files, without indexing.
 
     * triples: ``head<TAB>relation<TAB>tail``
     * entities: ``id<TAB>label[<TAB>description]``
     * relations: ``id<TAB>label[<TAB>description[<TAB>schema]]``
 
-    Duplicate triples are collapsed; dangling references and malformed lines
-    raise :class:`KbLoadError` with the offending line number.
+    Returns ``(entities, relations, triples)`` as lists in file order;
+    repeated triples are kept. Duplicate ids, empty labels, dangling
+    references and malformed lines raise :class:`KbLoadError` with the
+    offending line number.
     """
     entities = []
     seen_entities = set()
@@ -343,8 +343,13 @@ def load_kb(triples_path, entities_path, relations_path) -> KnowledgeBase:
     seen_relations.add(NOOP_RELATION)
 
     triples = read_triples(triples_path, seen_entities, seen_relations)
+    return entities, relations, triples
 
-    kb = KnowledgeBase(entities, relations, triples)
+
+def load_kb(triples_path, entities_path, relations_path) -> KnowledgeBase:
+    """Build a knowledge base from the three files :func:`read_kb` reads.
+    Duplicate triples are collapsed."""
+    kb = KnowledgeBase(*read_kb(triples_path, entities_path, relations_path))
     logger.info(
         "loaded KB: %d entities, %d relations, %d triples",
         len(kb.entities), len(kb.relations), len(kb.triples),
@@ -356,11 +361,12 @@ def load_kb(triples_path, entities_path, relations_path) -> KnowledgeBase:
 # splitting and degradation
 
 
-def split(kb: KnowledgeBase, n_valid: int, n_test: int, seed: int) -> SplitBundle:
-    """Deterministically partition the KB's triples into train/valid/test."""
+def split(triples, n_valid: int, n_test: int, seed: int) -> SplitBundle:
+    """Deterministically partition the distinct ``triples`` into
+    train/valid/test."""
     if n_valid < 0 or n_test < 0:
         raise ValueError("split sizes must be non-negative")
-    pool = sorted(kb.triples)
+    pool = sorted(set(triples))
     if n_valid + n_test >= len(pool):
         raise ValueError(
             f"n_valid + n_test = {n_valid + n_test} must be smaller than |triples| = {len(pool)}"
@@ -375,10 +381,10 @@ def split(kb: KnowledgeBase, n_valid: int, n_test: int, seed: int) -> SplitBundl
     return SplitBundle(train=train, valid=valid, test=test)
 
 
-def degrade(train, keep_fraction: float, seed: int, kb: KnowledgeBase) -> set[Triple]:
+def degrade(train, keep_fraction: float, seed: int, entities) -> set[Triple]:
     """Randomly keep ``keep_fraction`` of the training edges.
 
-    Every KB entity left with no kept non-noop triple receives a single
+    Every id in ``entities`` left with no kept non-noop triple receives a single
     ``noop`` self-loop so the degraded graph still covers the full entity set.
     ``keep_fraction == 1.0`` is the identity (no loops added). Rounding is
     half-up. Deterministic under ``seed``.
@@ -397,5 +403,5 @@ def degrade(train, keep_fraction: float, seed: int, kb: KnowledgeBase) -> set[Tr
         if r != NOOP_RELATION:
             covered.add(h)
             covered.add(t)
-    kept.update(Triple(e, NOOP_RELATION, e) for e in kb.entities if e not in covered)
+    kept.update(Triple(e, NOOP_RELATION, e) for e in entities if e not in covered)
     return kept

@@ -3,12 +3,13 @@ and a live chat-completions client with retry."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -94,30 +95,41 @@ def post_json(
 ):
     """POST ``payload`` as JSON and return ``parse`` of the decoded reply.
 
-    One ``requests.post`` per attempt. A connection error or timeout, a 429
-    or 5xx status, and a reply body ``parse`` cannot read are retried, up to
-    ``max_attempts`` attempts in all, sleeping ``backoff_s`` and doubling it
-    between them; any other HTTP error status fails at once. Failure raises
-    ``error`` naming the URL and the last cause.
+    One ``urllib.request.urlopen`` per attempt, each on a new connection
+    (urllib sends ``Connection: close``), with ``timeout`` on connecting and
+    on every read. Proxies come from the environment, read once per process;
+    TLS is verified against the system trust store. A connection error or
+    timeout, a 429 or 5xx status, and a reply body ``parse`` cannot read are
+    retried, up to ``max_attempts`` attempts in all, sleeping ``backoff_s``
+    and doubling it between them; any other HTTP error status fails at once.
+    Failure raises ``error`` naming the URL and the last cause.
     """
+    data = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json", **(headers or {})}
     delay = backoff_s
     for attempt in range(1, max_attempts + 1):
+        # a new Request each attempt: a proxy handler rewrites the one it opens
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-            if resp.status_code == 429 or resp.status_code >= 500:
-                raise requests.HTTPError(f"status {resp.status_code}", response=resp)
-            if resp.status_code >= 400:
-                raise error(f"request to {url} failed: status {resp.status_code}")
-            return parse(resp.json())
-        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
-            if attempt == max_attempts:
-                raise error(
-                    f"request to {url} failed after {max_attempts} attempts: {exc}"
-                ) from exc
-            logger.warning("attempt %d/%d at %s failed (%s); retrying in %.1fs",
-                           attempt, max_attempts, url, exc, delay)
-            time.sleep(delay)
-            delay *= 2
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                body = resp.read()
+            return parse(json.loads(body))
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code != 429 and exc.code < 500:
+                raise error(f"request to {url} failed: status {exc.code}") from None
+            failure, cause = exc, f"status {exc.code}"
+        except (OSError, http.client.HTTPException,
+                KeyError, IndexError, TypeError, ValueError) as exc:
+            failure = cause = exc
+        if attempt == max_attempts:
+            raise error(
+                f"request to {url} failed after {max_attempts} attempts: {cause}"
+            ) from failure
+        logger.warning("attempt %d/%d at %s failed (%s); retrying in %.1fs",
+                       attempt, max_attempts, url, cause, delay)
+        time.sleep(delay)
+        delay *= 2
 
 
 class LiveBackend:
@@ -151,9 +163,7 @@ class LiveBackend:
             "temperature": params.temperature,
             "max_tokens": params.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
         return post_json(
             self.endpoint, payload, LlmTransportError, self.timeout,
             parse=lambda data: data["choices"][0]["message"]["content"],

@@ -395,7 +395,7 @@ def _joint_world(rng):
         if h != t:
             triples.add((f"e{h}", f"r{rng.randrange(n_relations)}", f"e{t}"))
     full = make_kb(sorted(triples), entities=entities, relations=relations)
-    kept = degrade(sorted(full.triples), 0.5, seed=17, kb=full)
+    kept = degrade(sorted(full.triples), 0.5, seed=17, entities=full.entities)
     working = KnowledgeBase(full.entities.values(), full.relations.values(), kept)
     deleted = sorted(full.triples - {t for t in kept if not t.is_noop()})
     injectable = [t for t in deleted if t.head != t.tail]

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,35 @@ class TestPrepare:
         )
         assert result.exit_code == 2
         assert "learning_rat" in result.output
+
+    @pytest.mark.parametrize("key, url", [
+        ("llm_endpoint", "file:///etc/passwd"),
+        ("completer_endpoint", "ftp://models.example/complete"),
+        ("llm_endpoint", "http:///v1/chat/completions"),
+        ("completer_endpoint", "localhost:8000"),
+    ])
+    def test_bad_endpoint_is_usage_error_naming_the_key(self, workspace, key, url):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config[key] = url
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 2
+        assert key in result.output
+        assert not (tmp_path / "r").exists()
+
+    def test_https_endpoints_are_accepted(self, workspace):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["llm_endpoint"] = "https://chat.example:8443/v1/chat/completions"
+        config["completer_endpoint"] = "https://slm.example"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = prepare(workspace)
+        snapshot = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        assert snapshot["llm_endpoint"] == config["llm_endpoint"]
+        assert snapshot["completer_endpoint"] == config["completer_endpoint"]
 
     def test_unknown_subcommand_exits_2(self):
         result = CliRunner().invoke(main, ["frobnicate"])
@@ -518,3 +551,13 @@ class TestFixedVocabulary:
         ]), encoding="utf-8")
         result = invoke("eval-kbqa", *cfg, "--qa", str(qa), "--scripted", str(script))
         assert result.exit_code == 0, result.output
+
+
+def test_cli_import_leaves_requests_out():
+    """The program talks HTTP through the standard library only."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, kbloop.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

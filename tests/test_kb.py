@@ -122,23 +122,29 @@ class TestSplit:
         return make_kb(triples)
 
     def test_sizes(self):
-        bundle = split(self.make(), 10, 10, seed=7)
+        bundle = split(self.make().triples, 10, 10, seed=7)
         assert (len(bundle.train), len(bundle.valid), len(bundle.test)) == (80, 10, 10)
 
     def test_deterministic(self):
         kb = self.make()
-        assert split(kb, 10, 10, seed=7) == split(kb, 10, 10, seed=7)
+        assert split(kb.triples, 10, 10, seed=7) == split(kb.triples, 10, 10, seed=7)
 
     def test_disjoint_and_covering(self):
         kb = self.make()
-        bundle = split(kb, 15, 25, seed=3)
+        bundle = split(kb.triples, 15, 25, seed=3)
         train, valid, test = map(set, (bundle.train, bundle.valid, bundle.test))
         assert not (train & valid) and not (train & test) and not (valid & test)
         assert train | valid | test == kb.triples
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
-            split(self.make(), 50, 50, seed=0)
+            split(self.make().triples, 50, 50, seed=0)
+
+    def test_repeated_triples_count_once(self):
+        triples = sorted(self.make().triples)
+        repeated = triples + triples[::3]
+        random.Random(1).shuffle(repeated)
+        assert split(repeated, 10, 10, seed=7) == split(triples, 10, 10, seed=7)
 
 
 class TestDegrade:
@@ -146,7 +152,7 @@ class TestDegrade:
         rng = random.Random(11)
         kb = random_kb(rng, 300, 8, 1000)
         train = sorted(kb.triples)
-        kept = degrade(train, 0.5, seed=5, kb=kb)
+        kept = degrade(train, 0.5, seed=5, entities=kb.entities)
         originals = [t for t in kept if not t.is_noop()]
         assert len(originals) == round(0.5 * len(train))
         covered = {e for t in originals for e in (t.head, t.tail)}
@@ -157,14 +163,14 @@ class TestDegrade:
     def test_identity_when_keeping_all(self):
         kb = make_kb([("a", "r", "b"), ("b", "r", "c")])
         train = sorted(kb.triples)
-        assert degrade(train, 1.0, seed=0, kb=kb) == set(train)
+        assert degrade(train, 1.0, seed=0, entities=kb.entities) == set(train)
 
     def test_star_graph_leaves_get_loops(self):
         # hub with four leaves; keeping 25% retains exactly one spoke, so the
         # isolation set is (all leaves minus the kept one), worked out below
         triples = [("hub", "r", f"leaf{i}") for i in range(4)]
         kb = make_kb(triples)
-        kept = degrade([Triple(*t) for t in triples], 0.25, seed=2, kb=kb)
+        kept = degrade([Triple(*t) for t in triples], 0.25, seed=2, entities=kb.entities)
         originals = {t for t in kept if not t.is_noop()}
         assert len(originals) == 1
         surviving_leaf = next(iter(originals)).tail
@@ -179,7 +185,7 @@ class TestDegrade:
         rng = random.Random(23)
         for trial in range(10):
             kb = random_kb(rng, 40, 5, 80)
-            kept = degrade(sorted(kb.triples), 0.3, seed=trial, kb=kb)
+            kept = degrade(sorted(kb.triples), 0.3, seed=trial, entities=kb.entities)
             incident = {}
             for t in kept:
                 incident.setdefault(t.head, []).append(t)
@@ -190,22 +196,22 @@ class TestDegrade:
     def test_deterministic(self):
         kb = make_kb([(f"e{i}", "r", f"e{i+1}") for i in range(50)])
         train = sorted(kb.triples)
-        assert degrade(train, 0.4, 9, kb) == degrade(train, 0.4, 9, kb)
+        assert degrade(train, 0.4, 9, kb.entities) == degrade(train, 0.4, 9, kb.entities)
 
     def test_same_set_from_a_list_a_tuple_or_a_set(self):
         rng = random.Random(4)
         kb = random_kb(rng, 60, 4, 200)
         train = sorted(kb.triples)
-        want = degrade(train, 0.3, seed=2, kb=kb)
+        want = degrade(train, 0.3, seed=2, entities=kb.entities)
         shuffled = train + train[:20]
         rng.shuffle(shuffled)
         for given in (tuple(train), set(train), shuffled, tuple(shuffled)):
-            assert degrade(given, 0.3, seed=2, kb=kb) == want
+            assert degrade(given, 0.3, seed=2, entities=kb.entities) == want
 
     def test_bad_fraction(self):
         kb = make_kb([("a", "r", "b")])
         with pytest.raises(ValueError):
-            degrade(sorted(kb.triples), 0.0, 1, kb)
+            degrade(sorted(kb.triples), 0.0, 1, kb.entities)
 
 
 class TestNeighbors:

@@ -2,11 +2,17 @@
 stub server."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import kbloop
 from kbloop.llm import (
     ChatTurn,
     LiveBackend,
@@ -130,6 +136,137 @@ class TestLiveBackend:
                               backoff_s=0.01, timeout=0.2)
         with pytest.raises(LlmTransportError):
             backend.chat(turns("ping"))
+
+
+_CHAT_REPLY = json.dumps(
+    {"choices": [{"message": {"role": "assistant", "content": "pong"}}]}
+).encode()
+
+
+class _ReplyPlanHandler(BaseHTTPRequestHandler):
+    """Answers the n-th request as ``plan[n]`` says, and every request past
+    the plan with a good chat reply. A step is an HTTP status (empty body),
+    ``"garbage"`` (200 with a body that is not JSON), ``"close"`` (hang up
+    without a reply) or ``"slow"`` (a good reply after ``slow_s``)."""
+
+    plan = []
+    slow_s = 0.0
+    seen = 0
+
+    def do_POST(self):
+        cls = type(self)
+        self.rfile.read(int(self.headers["Content-Length"]))
+        step = cls.plan[cls.seen] if cls.seen < len(cls.plan) else "ok"
+        cls.seen += 1
+        if step == "close":
+            return
+        if step == "slow":
+            time.sleep(cls.slow_s)
+        status, body = (step, b"") if isinstance(step, int) else (200, _CHAT_REPLY)
+        if step == "garbage":
+            body = b"<html>not json</html>"
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def plan_server():
+    """A threaded loopback server over ``_ReplyPlanHandler``, so a slow
+    reply does not hold up the next attempt."""
+    _ReplyPlanHandler.plan = []
+    _ReplyPlanHandler.slow_s = 0.0
+    _ReplyPlanHandler.seen = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ReplyPlanHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    server.shutdown()
+    thread.join()
+    server.server_close()
+
+
+class TestTransportContract:
+    """The retry contract of ``post_json``, which serves both the chat
+    backend and the remote completer."""
+
+    def backend(self, url, **kwargs):
+        return LiveBackend(url, model="m", max_attempts=3, backoff_s=0.01, **kwargs)
+
+    def test_429_is_retried(self, plan_server):
+        _ReplyPlanHandler.plan = [429]
+        assert self.backend(plan_server).chat(turns("ping")) == "pong"
+        assert _ReplyPlanHandler.seen == 2
+
+    def test_404_fails_at_once_naming_the_status(self, plan_server):
+        _ReplyPlanHandler.plan = [404]
+        with pytest.raises(LlmTransportError, match="status 404") as err:
+            self.backend(plan_server).chat(turns("ping"))
+        assert plan_server in str(err.value)
+        assert _ReplyPlanHandler.seen == 1
+
+    def test_unparseable_body_is_retried(self, plan_server):
+        _ReplyPlanHandler.plan = ["garbage"]
+        assert self.backend(plan_server).chat(turns("ping")) == "pong"
+        assert _ReplyPlanHandler.seen == 2
+
+    def test_hang_up_without_reply_is_retried(self, plan_server):
+        _ReplyPlanHandler.plan = ["close"]
+        assert self.backend(plan_server).chat(turns("ping")) == "pong"
+        assert _ReplyPlanHandler.seen == 2
+
+    def test_reply_slower_than_timeout_fails_after_max_attempts(self, plan_server):
+        _ReplyPlanHandler.plan = ["slow"] * 3
+        _ReplyPlanHandler.slow_s = 1.0
+        with pytest.raises(LlmTransportError, match="after 3 attempts") as err:
+            self.backend(plan_server, timeout=0.1).chat(turns("ping"))
+        assert plan_server in str(err.value)
+
+    def test_http_proxy_from_the_environment_is_used(self):
+        """In a fresh interpreter, so the proxy settings are read from this
+        environment: the request goes to the proxy, which answers for a
+        target nothing listens on."""
+
+        class ProxyHandler(BaseHTTPRequestHandler):
+            targets = []
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                type(self).targets.append(self.path)
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(_CHAT_REPLY)))
+                self.end_headers()
+                self.wfile.write(_CHAT_REPLY)
+
+            def log_message(self, *args):
+                pass
+
+        proxy = HTTPServer(("127.0.0.1", 0), ProxyHandler)
+        thread = threading.Thread(target=proxy.serve_forever, daemon=True)
+        thread.start()
+        target = "http://127.0.0.1:9/v1/chat/completions"
+        env = {k: v for k, v in os.environ.items() if k.lower() not in ("no_proxy", "http_proxy")}
+        env["http_proxy"] = f"http://127.0.0.1:{proxy.server_port}"
+        env["PYTHONPATH"] = str(Path(kbloop.__file__).resolve().parents[1])
+        code = (
+            "from kbloop.llm import ChatTurn, LiveBackend\n"
+            f"print(LiveBackend({target!r}, 'm', max_attempts=1, timeout=10)"
+            ".chat([ChatTurn('user', 'ping')]))\n"
+        )
+        try:
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=60)
+        finally:
+            proxy.shutdown()
+            thread.join()
+            proxy.server_close()
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "pong"
+        assert ProxyHandler.targets == [target]
 
 
 def test_default_params_match_operating_point():
