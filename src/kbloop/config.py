@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.parse
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .agent import AgentConfig
 from .completer import TrainingConfig
-from .llm import LlmParams
+from .llm import LlmParams, check_endpoint
 
 ENV_API_KEY = "KBLOOP_API_KEY"
 ENV_LLM_ENDPOINT = "KBLOOP_LLM_ENDPOINT"
@@ -118,20 +117,13 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if not config.llm_model:
         config.llm_model = os.environ.get(ENV_LLM_MODEL, "")
     for key in ("llm_endpoint", "completer_endpoint"):
-        _check_endpoint(key, getattr(config, key))
+        url = getattr(config, key)
+        if url:
+            try:
+                check_endpoint(url)
+            except ValueError as exc:
+                raise ValueError(f"{key} {exc}") from None
     return config
-
-
-def _check_endpoint(key: str, url) -> None:
-    if not url:
-        return
-    try:
-        parts = urllib.parse.urlsplit(url)
-        parts.port  # raises ValueError on a port that is not a number
-    except (AttributeError, TypeError, ValueError):
-        parts = None
-    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"{key} {url!r} must be an http:// or https:// URL with a host")
 
 
 def api_key() -> str:

@@ -317,13 +317,15 @@ def read_kb(triples_path, entities_path, relations_path):
     * relations: ``id<TAB>label[<TAB>description[<TAB>schema]]``
 
     Returns ``(entities, relations, triples)`` as lists in file order;
-    repeated triples are kept. Duplicate ids, empty labels, dangling
+    repeated triples are kept. Empty entity ids, duplicate ids, empty labels, dangling
     references and malformed lines raise :class:`KbLoadError` with the
     offending line number.
     """
     entities = []
     seen_entities = set()
     for lineno, (eid, label, desc) in _read_rows(entities_path, 2, 3, "entity"):
+        if not eid:
+            raise KbLoadError(f"{entities_path}:{lineno}: empty entity id")
         if eid in seen_entities:
             raise KbLoadError(f"{entities_path}:{lineno}: duplicate entity id {eid!r}")
         if not label:

@@ -8,6 +8,7 @@ import json
 import logging
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
@@ -83,6 +84,30 @@ class ScriptedBackend:
         return response
 
 
+def check_endpoint(url) -> None:
+    """Raise :class:`ValueError` unless ``url`` is an ``http://`` or
+    ``https://`` URL with a host (and a numeric port, if it names one)."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises ValueError on a port that is not a number
+    except (AttributeError, TypeError, ValueError):
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"{url!r} must be an http:// or https:// URL with a host")
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Turns every 3xx reply into an ``HTTPError``: a redirect would carry
+    the request headers, credentials included, to whatever host it names."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+# proxies are read from the environment once, when this opener is built
+_OPENER = urllib.request.build_opener(_NoRedirect)
+
+
 def post_json(
     url: str,
     payload: dict,
@@ -95,15 +120,19 @@ def post_json(
 ):
     """POST ``payload`` as JSON and return ``parse`` of the decoded reply.
 
-    One ``urllib.request.urlopen`` per attempt, each on a new connection
-    (urllib sends ``Connection: close``), with ``timeout`` on connecting and
-    on every read. Proxies come from the environment, read once per process;
-    TLS is verified against the system trust store. A connection error or
-    timeout, a 429 or 5xx status, and a reply body ``parse`` cannot read are
-    retried, up to ``max_attempts`` attempts in all, sleeping ``backoff_s``
-    and doubling it between them; any other HTTP error status fails at once.
-    Failure raises ``error`` naming the URL and the last cause.
+    ``url`` must pass :func:`check_endpoint`, or :class:`ValueError` is
+    raised before anything is sent. One urllib request per attempt, each on
+    a new connection (urllib sends ``Connection: close``), with ``timeout``
+    on connecting and on every read. Proxies come from the environment, read
+    once per process; TLS is verified against the system trust store.
+    Redirects are not followed, so ``url`` must be the final URL. A
+    connection error or timeout, a 429 or 5xx status, and a reply body
+    ``parse`` cannot read are retried, up to ``max_attempts`` attempts in
+    all, sleeping ``backoff_s`` and doubling it between them; any other HTTP
+    status, 3xx included, fails at once. Failure raises ``error`` naming the
+    URL and the last cause.
     """
+    check_endpoint(url)
     data = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json", **(headers or {})}
     delay = backoff_s
@@ -111,7 +140,7 @@ def post_json(
         # a new Request each attempt: a proxy handler rewrites the one it opens
         request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
+            with _OPENER.open(request, timeout=timeout) as resp:
                 body = resp.read()
             return parse(json.loads(body))
         except urllib.error.HTTPError as exc:

@@ -89,6 +89,18 @@ class TestPrepare:
         assert f"triples.tsv:{n_lines}" in result.output
         assert "Traceback" not in result.output
 
+    def test_empty_entity_id_is_named(self, workspace):
+        tmp_path, config_path = workspace
+        with open(tmp_path / "entities.tsv", "a", encoding="utf-8") as fh:
+            fh.write("\tNameless\n")
+        n_lines = len((tmp_path / "entities.tsv").read_text(encoding="utf-8").splitlines())
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 1
+        assert f"entities.tsv:{n_lines}: empty entity id" in result.output
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_config_key_exits_2(self, workspace):
         tmp_path, config_path = workspace
         config = json.loads(config_path.read_text(encoding="utf-8"))

@@ -498,6 +498,15 @@ class TestRemoteOverHttp:
             thread.join()
         assert _FlakyCompletionHandler.seen == attempts
 
+    def test_file_endpoint_is_rejected(self, bieber_kb, tmp_path):
+        """A ``file:`` endpoint would answer from a local file; it is refused
+        before anything is read."""
+        samples = {"samples": [{"text": "Jeremy Bieber", "logprob": -0.4}]}
+        (tmp_path / "complete").write_text(json.dumps(samples), encoding="utf-8")
+        remote = RemoteCompleter(tmp_path.as_uri(), r_samples=5)
+        with pytest.raises(ValueError, match="http:// or https://"):
+            remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 2)
+
 
 class _FlakyCompletionHandler(_CompletionHandler):
     """Answers ``status`` to the first ``fail_first`` requests."""
@@ -517,3 +526,4 @@ class _FlakyCompletionHandler(_CompletionHandler):
             self.end_headers()
             return
         super().do_POST()
+

@@ -145,17 +145,20 @@ _CHAT_REPLY = json.dumps(
 
 class _ReplyPlanHandler(BaseHTTPRequestHandler):
     """Answers the n-th request as ``plan[n]`` says, and every request past
-    the plan with a good chat reply. A step is an HTTP status (empty body),
-    ``"garbage"`` (200 with a body that is not JSON), ``"close"`` (hang up
+    the plan with a good chat reply. A step is an HTTP status (empty body,
+    with ``Location: redirect_to`` on a 3xx), ``"garbage"`` (200 with a body that is not JSON), ``"close"`` (hang up
     without a reply) or ``"slow"`` (a good reply after ``slow_s``)."""
 
     plan = []
     slow_s = 0.0
+    redirect_to = ""
     seen = 0
+    authorizations = []
 
     def do_POST(self):
         cls = type(self)
         self.rfile.read(int(self.headers["Content-Length"]))
+        cls.authorizations.append(self.headers.get("Authorization"))
         step = cls.plan[cls.seen] if cls.seen < len(cls.plan) else "ok"
         cls.seen += 1
         if step == "close":
@@ -166,6 +169,8 @@ class _ReplyPlanHandler(BaseHTTPRequestHandler):
         if step == "garbage":
             body = b"<html>not json</html>"
         self.send_response(status)
+        if 300 <= status < 400:
+            self.send_header("Location", cls.redirect_to)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -180,7 +185,9 @@ def plan_server():
     reply does not hold up the next attempt."""
     _ReplyPlanHandler.plan = []
     _ReplyPlanHandler.slow_s = 0.0
+    _ReplyPlanHandler.redirect_to = ""
     _ReplyPlanHandler.seen = 0
+    _ReplyPlanHandler.authorizations = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ReplyPlanHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -225,6 +232,35 @@ class TestTransportContract:
         with pytest.raises(LlmTransportError, match="after 3 attempts") as err:
             self.backend(plan_server, timeout=0.1).chat(turns("ping"))
         assert plan_server in str(err.value)
+
+    def test_redirect_to_another_host_is_not_followed(self, plan_server, chat_server):
+        """The credential stays with the endpoint: a 302 fails at once and
+        the host it names gets no request."""
+        _ReplyPlanHandler.plan = [302]
+        _ReplyPlanHandler.redirect_to = chat_server.replace("127.0.0.1", "localhost")
+        with pytest.raises(LlmTransportError, match="status 302"):
+            self.backend(plan_server, api_key="secret").chat(turns("ping"))
+        assert _ReplyPlanHandler.authorizations == ["Bearer secret"]
+        assert _ChatHandler.seen_payloads == []
+
+    def test_307_fails_at_once_naming_the_status(self, plan_server):
+        _ReplyPlanHandler.plan = [307]
+        _ReplyPlanHandler.redirect_to = plan_server
+        with pytest.raises(LlmTransportError, match="status 307"):
+            self.backend(plan_server).chat(turns("ping"))
+        assert _ReplyPlanHandler.seen == 1
+
+    @pytest.mark.parametrize("scheme", ["file", "data", "ftp"])
+    def test_non_http_endpoint_is_rejected_before_sending(self, tmp_path, scheme):
+        reply = tmp_path / "reply.json"
+        reply.write_bytes(_CHAT_REPLY)
+        url = {
+            "file": reply.as_uri(),
+            "data": "data:application/json," + _CHAT_REPLY.decode(),
+            "ftp": "ftp://127.0.0.1:9/reply.json",
+        }[scheme]
+        with pytest.raises(ValueError, match="http:// or https://"):
+            self.backend(url).chat(turns("ping"))
 
     def test_http_proxy_from_the_environment_is_used(self):
         """In a fresh interpreter, so the proxy settings are read from this
