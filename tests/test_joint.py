@@ -9,6 +9,7 @@ from kbloop.completer import (
     CompleterTransportError,
     CompletionQuery,
     NativeCompleter,
+    RemoteCompleter,
     TrainingConfig,
     TrainingError,
 )
@@ -224,6 +225,40 @@ class TestPersistence:
         assert len(result.records) == 1  # only the second question ran
         assert log.completed_questions() == 2
         assert log.paths_path.exists()
+
+    def test_stateless_completer_logs_without_a_snapshot(self, tmp_path):
+        """A remote completer's service owns its weights: the run logs every
+        question and writes no snapshot, and the log alone tells a resumed
+        sweep where to continue."""
+        kb = chain_kb()
+        requests = []
+
+        def transport(path, payload):
+            requests.append(path)
+            return {"status": "completed"}
+
+        remote = RemoteCompleter(transport=transport)
+        qa = [QaExample(f"q {i}?", (f"e{i}",), (f"E{i + 5}",)) for i in range(3)]
+        scripts = [generate_episode_script(f"E{i}", f"E{i + 5}") for i in range(3)]
+        run_dir = tmp_path / "run"
+        result = run_joint_training(
+            run_dir, kb, qa[:2], remote, ScriptedBackend(sum(scripts[:2], [])),
+            train_config=TrainingConfig(seed=0), pretrain_triples=sorted(kb.triples),
+        )
+        log = RunLog(run_dir)
+        assert [r.finetuned for r in result.records] == [True, True]
+        assert [e["question"] for e in log.entries()] == ["q 0?", "q 1?"]
+        assert not log.checkpoint_path.exists()
+        assert requests == ["finetune", "finetune"]
+
+        result = run_joint_training(
+            run_dir, kb, qa, remote, ScriptedBackend(scripts[2]), resume=True,
+            train_config=TrainingConfig(seed=0), pretrain_triples=sorted(kb.triples),
+        )
+        assert [r.trajectory.question for r in result.records] == ["q 2?"]
+        assert [e["position"] for e in log.entries()] == [0, 1, 2]
+        assert not log.checkpoint_path.exists()
+        assert requests == ["finetune"] * 3
 
 
 class Crash(Exception):
