@@ -17,7 +17,7 @@ from .completer import (
     build_input_sequence,
 )
 from .kb import KnowledgeBase, Triple, degrade, load_kb, split
-from .joint import QaExample, train_joint
+from .joint import QaExample, run_joint_training
 from .llm import ChatTurn, LiveBackend, LlmParams, ScriptedBackend
 from .paths import ReasoningPath, bfs_witness, parse_reasoning_paths
 
@@ -48,6 +48,6 @@ __all__ = [
     "load_kb",
     "parse_reasoning_paths",
     "run_episode",
+    "run_joint_training",
     "split",
-    "train_joint",
 ]

@@ -176,10 +176,6 @@ class Trajectory:
             record["wall_time_s"] = round(self.wall_time_s, 6)
         return record
 
-    def serialize(self) -> str:
-        """Canonical JSON; identical runs produce identical bytes."""
-        return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True)
-
     def observation_triples(self) -> list[SurfaceTriple]:
         out = []
         for step in self.steps:
@@ -392,7 +388,7 @@ def exec_complete(entity_surface, relation_surface, kb, completer, config: Agent
     except RelationLinkError:
         obs.notes.append(f"relation not linkable: {relation_surface}")
         return obs
-    predictions = completer.predict(CompletionQuery.tail_query(eid, rid), kb, config.complete_top_k)
+    predictions = completer.predict(CompletionQuery(eid, rid), kb, config.complete_top_k)
     for p in predictions:
         if p.score == float("-inf"):
             continue

@@ -93,14 +93,15 @@ def _emit_report(run_dir, payload: dict) -> None:
 
 
 class _Main(click.Group):
-    """Reports a KB input error (a malformed file, an unknown id) or a run
-    directory whose snapshot and question log disagree as a one-line CLI
-    error with exit code 1, for every command."""
+    """Reports a KB input error (a malformed file, an unknown id), a run
+    directory whose snapshot and question log disagree, or an episode aborted
+    by a transport failure as a one-line CLI error with exit code 1, for
+    every command."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (kb_mod.KbError, joint_mod.RunLogError) as exc:
+        except (kb_mod.KbError, joint_mod.RunLogError, agent_mod.EpisodeAborted) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -181,7 +182,7 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
     """Run the joint loop: episodes, path parsing, incremental fine-tuning."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
+    completer = _completer(cfg, run_dir=run_dir, kb=working_kb, require_checkpoint=True)
     backend = _backend(cfg, scripted)
     qa_train = joint_mod.load_qa_examples(qa_path)
     result = joint_mod.run_joint_training(
@@ -234,7 +235,7 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
     index = working_kb.entity_index
     ranks = []
     for q in queries:
-        scores = completer.tail_scores(CompletionQuery.tail_query(q.head, q.relation), working_kb)
+        scores = completer.tail_scores(CompletionQuery(q.head, q.relation), working_kb)
         excluded = [index[e] for e in known_tails.get((q.head, q.relation), ()) if e in index]
         ranks.append(metrics_mod.tail_rank(scores, index[q.tail], excluded))
     result = metrics_mod.kbc_eval(ranks, ks=tuple(cutoffs))
@@ -246,14 +247,14 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--run-dir", type=click.Path(), default=None)
+@click.option("--run-dir", type=click.Path(), required=True)
 @click.option("--question", required=True)
 @click.option("--topic", default="", help="Comma-separated topic entity ids.")
 @click.option("--scripted", type=click.Path(), default=None)
 def answer(config_path, run_dir, question, topic, scripted):
     """Answer one question with the agent loop."""
     cfg = _load_run_config(config_path)
-    working_kb = _working_kb(run_dir) if run_dir else kb_mod.load_kb(*_kb_paths(cfg))
+    working_kb = _working_kb(run_dir)
     completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
     backend = _backend(cfg, scripted)
     topics = [t.strip() for t in topic.split(",") if t.strip()]

@@ -64,6 +64,7 @@ class CompletionQuery:
 
     @classmethod
     def tail_query(cls, h: EntityId, r: RelationId) -> "CompletionQuery":
+        """The constructor under an older name; ``perfbench/selftest.py`` still calls it."""
         return cls(h, r)
 
 

@@ -78,84 +78,6 @@ class JointResult:
     records: list[JointRecord] = field(default_factory=list)
 
 
-def train_joint(
-    kb: KnowledgeBase,
-    qa_train,
-    completer,
-    llm,
-    pretrain_triples,
-    agent_config: AgentConfig | None = None,
-    train_config: TrainingConfig | None = None,
-    samples_per_triple: int = 10,
-    sink=None,
-    params: LlmParams | None = None,
-    memory: ReplayMemory | None = None,
-    rollback=None,
-    start: int = 0,
-) -> JointResult:
-    """Run the loop over ``qa_train`` in input order; its first question is
-    at position ``start`` of its sweep.
-
-    The completer must be trained. The replay memory (``memory``, or a fresh
-    one seeded with ``train_config.seed``) samples ``pretrain_triples``.
-    Every chat call, the episode's and
-    ``path_select``'s alike, runs with ``params``. A transport failure, of any
-    chat call or of the completer's ``predict`` or fine-tune, skips the
-    question: it is logged and recorded with its error, and the loop continues.
-    So does a fine-tune whose loss turns non-finite, when ``rollback`` is
-    given: ``rollback()`` returns the completer, and puts the replay memory
-    back, as they were before that fine-tune; without it the
-    :class:`TrainingError` propagates. ``sink`` receives each
-    :class:`JointRecord` as it is produced (used for persistence).
-    """
-    agent_config = agent_config or AgentConfig()
-    train_config = train_config or TrainingConfig()
-    replay_memory = memory or ReplayMemory(pretrain_triples, seed=train_config.seed)
-
-    result = JointResult(completer=completer)
-    for position, example in enumerate(qa_train, start=start):
-        path, error, finetuned = None, "", False
-        try:
-            trajectory = run_episode(
-                example.question,
-                list(example.topic_entities),
-                kb,
-                completer,
-                llm,
-                config=agent_config,
-                gold_answers=list(example.gold_answers),
-                params=params,
-            )
-            if example.topic_entities:  # fallback-answered questions yield no path
-                path = parse_reasoning_paths(trajectory, kb, llm, params)
-            if path and path.triples:
-                completer.incremental_finetune(
-                    path.triples,
-                    replay_memory,
-                    samples_per_triple=samples_per_triple,
-                    kb=kb,
-                    config=train_config,
-                )
-                finetuned = True
-        except EpisodeAborted as exc:
-            trajectory, error = exc.trajectory, str(exc)
-        except (LlmTransportError, CompleterTransportError) as exc:  # path_select, a remote fine-tune
-            error = str(exc)
-        except TrainingError as exc:
-            if rollback is None:
-                raise
-            error = str(exc)
-            completer = result.completer = rollback()
-        if error:
-            logger.warning("question %d skipped: %s", position, error)
-        record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error,
-                             position=position)
-        result.records.append(record)
-        if sink:
-            sink(record)
-    return result
-
-
 class RunLog:
     """A joint run's persistent state in its run directory.
 
@@ -221,12 +143,11 @@ class RunLog:
 
     def save_checkpoint(self, completer, memory: ReplayMemory) -> None:
         """Snapshot ``completer`` and ``memory`` as including the whole log."""
-        if hasattr(completer, "save"):
-            completer.save(
-                self.checkpoint_path,
-                log_lines=self.completed_questions(),
-                replay_rng_state=memory.get_state(),
-            )
+        completer.save(
+            self.checkpoint_path,
+            log_lines=self.completed_questions(),
+            replay_rng_state=memory.get_state(),
+        )
 
     def restart(self, completer) -> None:
         """Begin the run's history at a newly pretrained ``completer``: the
@@ -267,31 +188,41 @@ class RunLog:
 
 def run_joint_training(
     run_dir,
-    kb,
+    kb: KnowledgeBase,
     qa_train,
     completer,
     llm,
     resume: bool = False,
     *,
     pretrain_triples,
+    agent_config: AgentConfig | None = None,
     train_config: TrainingConfig | None = None,
     samples_per_triple: int = 10,
-    **kwargs,
+    params: LlmParams | None = None,
 ) -> JointResult:
-    """Persisted wrapper around :func:`train_joint`; see :class:`RunLog`.
+    """Run the loop over ``qa_train`` in input order, persisted in ``run_dir``;
+    see :class:`RunLog`.
 
-    ``completer`` is the model of the snapshot in ``run_dir``, or, when there
-    is none yet, the model to start from; then a native completer is
-    pretrained if need be and snapshotted before the first question. The run
-    first replays the log lines after the snapshot, so it continues from the
-    end of the log. With ``resume`` it continues the log's current sweep: it
-    skips the questions of ``qa_train`` up to the position of the log's last
-    line, not those of earlier sweeps. A diverging fine-tune is rolled back by
-    reloading the snapshot and replaying the log. A remote completer's
-    service owns its training state, so for it the log only tells where
-    the sweep continues.
+    A native ``completer`` is the model of the snapshot that ``pretrain`` or
+    :meth:`RunLog.restart` wrote in ``run_dir``. The run first replays the log
+    lines after the snapshot, so it continues from the end of the log. With
+    ``resume`` it continues the log's current sweep: it skips the questions of
+    ``qa_train`` up to the position of the log's last line, not those of
+    earlier sweeps. A remote completer's service owns its training state, so
+    for it the log only tells where the sweep continues.
+
+    The replay memory samples ``pretrain_triples``. Every chat call, the
+    episode's and ``path_select``'s alike, runs with ``params``. A transport
+    failure, of any chat call or of the completer's ``predict`` or fine-tune,
+    skips the question: it is logged with its error, and the loop continues.
+    So does a native fine-tune whose loss turns non-finite: the completer and
+    the replay memory are rolled back to before that fine-tune by reloading
+    the snapshot and replaying the log. Each question's line is appended to
+    the log before the next question starts. After a rollback the caller's
+    completer object is stale; the result holds the current one.
     """
     log = RunLog(run_dir)
+    agent_config = agent_config or AgentConfig()
     train_config = train_config or TrainingConfig()
     memory = ReplayMemory(pretrain_triples, seed=train_config.seed)
 
@@ -300,18 +231,9 @@ def run_joint_training(
             triples, memory, samples_per_triple=samples_per_triple, kb=kb, config=train_config
         )
 
-    rollback = None
-    if hasattr(completer, "save"):
-        if not log.checkpoint_path.exists():
-            if not completer.trained:
-                logger.info("pretraining completer on %d triples", len(set(pretrain_triples)))
-                completer.pretrain(pretrain_triples, kb, train_config)
-            log.restart(completer)
+    native = hasattr(completer, "save")
+    if native:
         completer = log.replay(completer, memory, finetune)
-
-        def rollback():
-            return log.replay(type(completer).load(log.checkpoint_path), memory, finetune)
-
     log.entries()  # drops a torn last line before any append
     start = log.next_position() if resume else 0
     if resume:
@@ -319,12 +241,45 @@ def run_joint_training(
         qa_train = list(qa_train)[start:]
 
     started = time.perf_counter()
-    result = train_joint(
-        kb, qa_train, completer, llm, pretrain_triples,
-        train_config=train_config, samples_per_triple=samples_per_triple,
-        sink=log.append, memory=memory, rollback=rollback, start=start, **kwargs,
-    )
-    log.save_checkpoint(result.completer, memory)
+    result = JointResult(completer=completer)
+    for position, example in enumerate(qa_train, start=start):
+        path, error, finetuned = None, "", False
+        try:
+            trajectory = run_episode(
+                example.question,
+                list(example.topic_entities),
+                kb,
+                completer,
+                llm,
+                config=agent_config,
+                gold_answers=list(example.gold_answers),
+                params=params,
+            )
+            if example.topic_entities:  # fallback-answered questions yield no path
+                path = parse_reasoning_paths(trajectory, kb, llm, params)
+            if path and path.triples:
+                finetune(completer, path.triples)
+                finetuned = True
+        except EpisodeAborted as exc:
+            trajectory, error = exc.trajectory, str(exc)
+        except (LlmTransportError, CompleterTransportError) as exc:  # path_select, a remote fine-tune
+            error = str(exc)
+        except TrainingError as exc:
+            if not native:
+                raise
+            error = str(exc)
+            completer = result.completer = log.replay(
+                type(completer).load(log.checkpoint_path), memory, finetune
+            )
+        if error:
+            logger.warning("question %d skipped: %s", position, error)
+        record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error,
+                             position=position)
+        result.records.append(record)
+        log.append(record)
+
+    if native:
+        log.save_checkpoint(result.completer, memory)
     log.write_paths()
     logger.info(
         "joint training over %d questions in %.1fs",

@@ -58,9 +58,6 @@ class Triple(NamedTuple):
     relation: RelationId
     tail: EntityId
 
-    def is_noop(self) -> bool:
-        return self.relation == NOOP_RELATION
-
 
 class EntityRecord(NamedTuple):
     id: EntityId

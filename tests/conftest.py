@@ -3,6 +3,7 @@ canned completer for scripted episodes."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,11 @@ def make_kb(triples, entities=None, relations=None) -> KnowledgeBase:
     entity_records = [EntityRecord(eid, *spec) for eid, spec in entities.items()]
     relation_records = [RelationRecord(rid, *spec) for rid, spec in relations.items()]
     return KnowledgeBase(entity_records, relation_records, [Triple(*t) for t in triples])
+
+
+def canonical_json(trajectory) -> str:
+    """A trajectory as canonical JSON: identical runs give identical bytes."""
+    return json.dumps(trajectory.to_dict(), ensure_ascii=False, sort_keys=True)
 
 
 def random_kb(rng: random.Random, n_entities: int, n_relations: int, n_triples: int) -> KnowledgeBase:

@@ -23,7 +23,7 @@ from kbloop.completer import (
     ReplayMemory,
     TrainingConfig,
 )
-from kbloop.joint import QaExample, train_joint
+from kbloop.joint import QaExample, RunLog, run_joint_training
 from kbloop.kb import NOOP_RELATION, KnowledgeBase, Triple, degrade
 from kbloop.llm import LiveBackend, ScriptedBackend
 from kbloop.metrics import hits_at_k, kbqa_hits_at_1, mrr
@@ -35,6 +35,7 @@ from conftest import (
     WOODROW_GOLD,
     WOODROW_RELATIONS,
     WOODROW_TRIPLES,
+    canonical_json,
     make_kb,
     random_kb,
 )
@@ -200,7 +201,7 @@ def test_golden_woodrow_replay():
     assert len(first.predicted_answers) == 4 and len(first.verified_answers) == 3
     assert "University of Virginia" not in first.verified_answers
     second = run_once()
-    assert first.serialize().encode("utf-8") == second.serialize().encode("utf-8")
+    assert canonical_json(first).encode("utf-8") == canonical_json(second).encode("utf-8")
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -280,13 +281,13 @@ def test_remote_predictions_stay_in_catalog():
         decoded_ids.update(kb.lookup_label(s["text"]))
 
     for k in (1, 5, len(kb.entities), len(kb.entities) + 50):
-        preds = remote.predict(CompletionQuery.tail_query("Q34296", "P69"), kb, k)
+        preds = remote.predict(CompletionQuery("Q34296", "P69"), kb, k)
         assert len(preds) <= k
         for p in preds:
             assert p.entity in kb.entities, "out-of-catalog entity returned"
             assert p.entity in decoded_ids, "undecoded entity entered the top-k"
             assert p.score > float("-inf")
-    full = remote.predict(CompletionQuery.tail_query("Q34296", "P69"), kb, len(kb.entities) + 50)
+    full = remote.predict(CompletionQuery("Q34296", "P69"), kb, len(kb.entities) + 50)
     assert {p.entity for p in full} == decoded_ids
 
 
@@ -318,7 +319,7 @@ def _typed_kb(rng, n_groups=8, group_size=40, n_relations=10, n_triples=2000):
 def _mean_rank(model, kb, triples):
     ranks = []
     for t in triples:
-        preds = model.predict(CompletionQuery.tail_query(t.head, t.relation), kb, len(kb.entities))
+        preds = model.predict(CompletionQuery(t.head, t.relation), kb, len(kb.entities))
         ranks.append([p.entity for p in preds].index(t.tail) + 1)
     return sum(ranks) / len(ranks)
 
@@ -326,7 +327,7 @@ def _mean_rank(model, kb, triples):
 def _probe_mrr(model, kb, probe):
     total = 0.0
     for t in probe:
-        preds = model.predict(CompletionQuery.tail_query(t.head, t.relation), kb, len(kb.entities))
+        preds = model.predict(CompletionQuery(t.head, t.relation), kb, len(kb.entities))
         total += 1.0 / ([p.entity for p in preds].index(t.tail) + 1)
     return total / len(probe)
 
@@ -397,7 +398,7 @@ def _joint_world(rng):
     full = make_kb(sorted(triples), entities=entities, relations=relations)
     kept = degrade(sorted(full.triples), 0.5, seed=17, entities=full.entities)
     working = KnowledgeBase(full.entities.values(), full.relations.values(), kept)
-    deleted = sorted(full.triples - {t for t in kept if not t.is_noop()})
+    deleted = sorted(full.triples - {t for t in kept if t.relation != NOOP_RELATION})
     injectable = [t for t in deleted if t.head != t.tail]
     rng.shuffle(injectable)
     return working, injectable[:10]
@@ -421,7 +422,7 @@ def _inject_script(working, injected):
 
 
 @criterion(8, "joint loop end-to-end", 120)
-def test_joint_loop_over_degraded_kb():
+def test_joint_loop_over_degraded_kb(tmp_path):
     rng = random.Random(1008)
     working, injected = _joint_world(rng)
     assert len(injected) == 10
@@ -430,14 +431,15 @@ def test_joint_loop_over_degraded_kb():
     config = TrainingConfig(epochs=150, seed=0, finetune_passes=60)
     model = NativeCompleter(working, dim=64, seed=0)
     model.pretrain(pretrain_triples, working, config)
+    RunLog(tmp_path).restart(model)
 
     ranks_before = {
         t: _mean_rank(model, working, [t]) for t in injected
     }
 
     steps, qa = _inject_script(working, injected)
-    result = train_joint(
-        working, qa, model, ScriptedBackend(steps),
+    result = run_joint_training(
+        tmp_path, working, qa, model, ScriptedBackend(steps),
         train_config=config, pretrain_triples=pretrain_triples,
     )
 
@@ -522,6 +524,6 @@ def test_live_smoke_single_question():
     )
     assert trajectory.llm_call_count <= 20
     assert len(trajectory.steps) <= 10
-    record = json.loads(trajectory.serialize())
+    record = json.loads(canonical_json(trajectory))
     assert record["question"]
     assert record["stop_reason"] in ("finish", "max_steps", "budget")

@@ -17,7 +17,7 @@ from kbloop.completer import RemoteCompleter
 from kbloop.llm import ScriptedBackend
 from kbloop.prompts import TEMPLATE_NAMES
 
-from conftest import CannedCompleter, WOODROW_GOLD, make_kb
+from conftest import CannedCompleter, WOODROW_GOLD, canonical_json, make_kb
 
 
 class TestParseAction:
@@ -193,8 +193,8 @@ class TestWoodrowEpisode:
         assert trajectory.llm_call_count <= AgentConfig().call_budget
 
     def test_byte_identical_replay(self, woodrow_kb):
-        first = run_woodrow(woodrow_kb).serialize()
-        second = run_woodrow(woodrow_kb).serialize()
+        first = canonical_json(run_woodrow(woodrow_kb))
+        second = canonical_json(run_woodrow(woodrow_kb))
         assert first == second
         assert first.encode("utf-8") == second.encode("utf-8")
 

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from kbloop import cli
 from kbloop.cli import main
-from kbloop.llm import LlmParams, ScriptedBackend
+from kbloop.llm import LlmParams, LlmTransportError, ScriptedBackend
 
 
 @pytest.fixture()
@@ -316,10 +316,45 @@ class TestAnswer:
 
     def test_missing_backend_is_usage_error(self, workspace):
         tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
         result = CliRunner().invoke(
-            main, ["answer", "--config", str(config_path), "--question", "q?"],
+            main, ["answer", "--config", str(config_path), "--run-dir", str(run_dir),
+                   "--question", "q?"],
         )
         assert result.exit_code == 2
+        assert "no chat endpoint configured" in result.output
+
+    def test_run_dir_is_required(self, workspace):
+        tmp_path, config_path = workspace
+        result = CliRunner().invoke(
+            main, ["answer", "--config", str(config_path), "--question", "q?", "--scripted", "x"],
+        )
+        assert result.exit_code == 2
+        assert "--run-dir" in result.output
+
+    @pytest.mark.parametrize("command", ["answer", "eval-kbqa"])
+    def test_chat_transport_failure_is_one_line_error(self, workspace, monkeypatch, command):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(
+            json.dumps({"question": "q?", "topic_entities": ["e0"], "answers": ["Entity 3"]}) + "\n",
+            encoding="utf-8",
+        )
+        url = "http://127.0.0.1:9/v1/chat/completions"
+
+        class DownBackend:
+            def chat(self, turns, params=None):
+                raise LlmTransportError(f"request to {url} failed: connection refused")
+
+        monkeypatch.setattr(cli, "_backend", lambda cfg, scripted: DownBackend())
+        args = {"answer": ["--question", "q?", "--topic", "e0"], "eval-kbqa": ["--qa", str(qa)]}
+        result = CliRunner().invoke(
+            main, [command, "--config", str(config_path), "--run-dir", str(run_dir),
+                   *args[command]],
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: request to {url} failed: connection refused\n"
 
 
 class TestSelfContainedRunDir:
@@ -433,6 +468,19 @@ class TestJointAndReport:
         result = invoke("report", "--run-dir", str(run_dir))
         assert result.exit_code == 0
         assert "avg_llm_calls" in result.output
+
+    def test_train_joint_requires_pretrain(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        qa, script = write_joint_inputs(tmp_path)
+        result = CliRunner().invoke(
+            main, ["train-joint", "--config", str(config_path), "--run-dir", str(run_dir),
+                   "--qa", str(qa), "--scripted", str(script)],
+        )
+        assert result.exit_code == 2
+        assert "kbloop pretrain" in result.output
+        assert not (run_dir / "completer.npz").exists()
+        assert not (run_dir / "trajectories.jsonl").exists()
 
     def test_resume_after_the_last_question_and_pretrain_starts_a_new_log(self, workspace):
         tmp_path, config_path = workspace

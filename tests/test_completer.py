@@ -26,7 +26,7 @@ from conftest import make_kb
 
 class TestInputSequence:
     def test_tail_query_layout(self, bieber_kb):
-        seq = build_input_sequence(bieber_kb, CompletionQuery.tail_query("Q34086", "P22"))
+        seq = build_input_sequence(bieber_kb, CompletionQuery("Q34086", "P22"))
         lines = seq.splitlines()
         assert lines[0] == "predict tail: Justin Bieber | father"
         assert lines[1] == "entity description: Justin Bieber [Canadian singer (born 1994)]"
@@ -38,20 +38,20 @@ class TestInputSequence:
 
     def test_empty_description_renders_empty_brackets(self):
         kb = make_kb([("e", "r", "x")])
-        seq = build_input_sequence(kb, CompletionQuery.tail_query("e", "r"))
+        seq = build_input_sequence(kb, CompletionQuery("e", "r"))
         assert "entity description: e []" in seq
 
     def test_max_context_zero(self, bieber_kb):
-        seq = build_input_sequence(bieber_kb, CompletionQuery.tail_query("Q34086", "P22"), 0)
+        seq = build_input_sequence(bieber_kb, CompletionQuery("Q34086", "P22"), 0)
         assert seq.splitlines()[-1] == "context:"
 
     def test_pure_function(self, bieber_kb):
-        q = CompletionQuery.tail_query("Q34086", "P22")
+        q = CompletionQuery("Q34086", "P22")
         assert build_input_sequence(bieber_kb, q) == build_input_sequence(bieber_kb, q)
 
     def test_unknown_entity(self, bieber_kb):
         with pytest.raises(UnknownEntityError):
-            build_input_sequence(bieber_kb, CompletionQuery.tail_query("Q404", "P22"))
+            build_input_sequence(bieber_kb, CompletionQuery("Q404", "P22"))
 
 
 def toy_kb(n=10):
@@ -115,7 +115,7 @@ class TestNativeTraining:
         kb = make_kb([("a", "r", "b"), ("c", "s", "d"), ("b", "s", "c")])
         model = NativeCompleter(kb, dim=16, seed=1)
         model.pretrain(sorted(kb.triples), kb, TrainingConfig(epochs=200, seed=1))
-        top = model.predict(CompletionQuery.tail_query("a", "r"), kb, 1)
+        top = model.predict(CompletionQuery("a", "r"), kb, 1)
         assert top[0].entity == "b"
 
     def test_empty_training_set_rejected(self):
@@ -135,11 +135,11 @@ class TestNativePredict:
     def test_untrained_raises(self):
         kb = toy_kb()
         with pytest.raises(ModelStateError):
-            NativeCompleter(kb).predict(CompletionQuery.tail_query("e0", "r"), kb, 1)
+            NativeCompleter(kb).predict(CompletionQuery("e0", "r"), kb, 1)
 
     def test_topk_matches_brute_force_argsort(self, trained):
         kb, model = trained
-        query = CompletionQuery.tail_query("e1", "r")
+        query = CompletionQuery("e1", "r")
         preds = model.predict(query, kb, len(kb.entities))
         scored = [
             (model.score_triple(Triple("e1", "r", e)), e) for e in sorted(kb.entities)
@@ -151,18 +151,18 @@ class TestNativePredict:
 
     def test_full_k_is_permutation(self, trained):
         kb, model = trained
-        preds = model.predict(CompletionQuery.tail_query("e0", "r"), kb, len(kb.entities))
+        preds = model.predict(CompletionQuery("e0", "r"), kb, len(kb.entities))
         assert sorted(p.entity for p in preds) == sorted(kb.entities)
 
     def test_scores_monotone(self, trained):
         kb, model = trained
-        preds = model.predict(CompletionQuery.tail_query("e2", "s"), kb, len(kb.entities))
+        preds = model.predict(CompletionQuery("e2", "s"), kb, len(kb.entities))
         scores = [p.score for p in preds]
         assert scores == sorted(scores, reverse=True)
 
     def test_k_one(self, trained):
         kb, model = trained
-        assert len(model.predict(CompletionQuery.tail_query("e0", "r"), kb, 1)) == 1
+        assert len(model.predict(CompletionQuery("e0", "r"), kb, 1)) == 1
 
     def test_score_is_repeatable(self, trained):
         kb, model = trained
@@ -184,7 +184,7 @@ class TestNativePredict:
         for e, value in (("e0", 1.0), ("e9", 2.0), ("e10", 2.0)):
             model.entity_vecs[model.entity_ids.index(e)] = (value, 0.0)
         model.trained = True
-        query = CompletionQuery.tail_query("e0", "r")
+        query = CompletionQuery("e0", "r")
         assert [p.entity for p in model.predict(query, kb, 1)] == ["e10"]
         preds = model.predict(query, kb, len(kb.entities))
         zeros = sorted(set(kb.entities) - {"e0", "e9", "e10"})
@@ -200,7 +200,7 @@ class TestNativePredict:
         model.entity_vecs = np.array([(v, 0.0) for v in values])
         model.relation_vecs = np.ones((len(kb.relations), 2))
         model.trained = True
-        query = CompletionQuery.tail_query("e00", "r")
+        query = CompletionQuery("e00", "r")
         assert [p.entity for p in model.predict(query, kb, 2)] == ["e05", "e02"]
         assert [p.entity for p in model.predict(query, kb, 3)] == ["e05", "e02", "e07"]
         s = np.array(values)
@@ -215,7 +215,7 @@ class TestNativePredict:
         model = NativeCompleter(kb, dim=3, seed=0)
         model.relation_vecs = np.ones((len(kb.relations), 3))
         model.trained = True
-        query = CompletionQuery.tail_query("e00", "r")
+        query = CompletionQuery("e00", "r")
         for _ in range(50):
             model.entity_vecs = rng.integers(-2, 3, (40, 3)).astype(float)
             s = model.entity_vecs @ model.entity_vecs[0]
@@ -314,7 +314,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded.entity_vecs, model.entity_vecs)
         assert loaded.entity_ids == model.entity_ids
         assert loaded.trained
-        q = CompletionQuery.tail_query("e0", "r")
+        q = CompletionQuery("e0", "r")
         assert [p.entity for p in loaded.predict(q, kb, 5)] == [
             p.entity for p in model.predict(q, kb, 5)
         ]
@@ -391,7 +391,7 @@ class TestRemoteCompleter:
             ]
         )
         remote = RemoteCompleter(transport=transport, r_samples=10)
-        preds = remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 5)
+        preds = remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 5)
         assert [p.entity for p in preds] == ["Q16004214", "Q22092"]
         assert all(p.score > float("-inf") for p in preds)
 
@@ -403,14 +403,14 @@ class TestRemoteCompleter:
             ]
         )
         remote = RemoteCompleter(transport=transport)
-        preds = remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 5)
+        preds = remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 5)
         assert preds[0].entity == "Q16004214"
         assert preds[0].score == pytest.approx(-0.5)
 
     def test_request_carries_sequence_and_sampling(self, bieber_kb):
         transport = StubTransport([])
         remote = RemoteCompleter(transport=transport, r_samples=500, temperature=1.0)
-        remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 3)
+        remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 3)
         path, payload = transport.requests[0]
         assert path == "complete"
         assert payload["num_samples"] == 500
@@ -432,7 +432,7 @@ class TestRemoteCompleter:
     def test_malformed_response(self, bieber_kb):
         remote = RemoteCompleter(transport=lambda path, payload: {"oops": 1})
         with pytest.raises(CompleterTransportError):
-            remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 1)
+            remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 1)
 
 
 class _CompletionHandler(BaseHTTPRequestHandler):
@@ -462,7 +462,7 @@ class TestRemoteOverHttp:
         thread.start()
         try:
             remote = RemoteCompleter(f"http://127.0.0.1:{server.server_port}", r_samples=5)
-            preds = remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 2)
+            preds = remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 2)
             assert [p.entity for p in preds] == ["Q16004214"]
         finally:
             server.shutdown()
@@ -473,7 +473,7 @@ class TestRemoteOverHttp:
         monkeypatch.setattr(llm.time, "sleep", sleeps.append)
         remote = RemoteCompleter("http://127.0.0.1:9", timeout=0.2)
         with pytest.raises(CompleterTransportError, match="after 3 attempts"):
-            remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 1)
+            remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 1)
         assert sleeps == [0.5, 1.0]
 
     @pytest.mark.parametrize("status, attempts", [(503, 3), (429, 3), (400, 1)])
@@ -487,7 +487,7 @@ class TestRemoteOverHttp:
         thread.start()
         try:
             remote = RemoteCompleter(f"http://127.0.0.1:{server.server_port}", r_samples=5)
-            query = CompletionQuery.tail_query("Q34086", "P22")
+            query = CompletionQuery("Q34086", "P22")
             if status == 400:
                 with pytest.raises(CompleterTransportError, match="status 400"):
                     remote.predict(query, bieber_kb, 2)
@@ -505,7 +505,7 @@ class TestRemoteOverHttp:
         (tmp_path / "complete").write_text(json.dumps(samples), encoding="utf-8")
         remote = RemoteCompleter(tmp_path.as_uri(), r_samples=5)
         with pytest.raises(ValueError, match="http:// or https://"):
-            remote.predict(CompletionQuery.tail_query("Q34086", "P22"), bieber_kb, 2)
+            remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 2)
 
 
 class _FlakyCompletionHandler(_CompletionHandler):

@@ -19,7 +19,6 @@ from kbloop.joint import (
     RunLogError,
     load_qa_examples,
     run_joint_training,
-    train_joint,
 )
 from kbloop.kb import Triple
 from kbloop.llm import LlmTransportError, ScriptedBackend
@@ -49,17 +48,24 @@ def generate_episode_script(topic_label, answer_label):
 
 
 def rank_of(model, kb, head, relation, tail):
-    preds = model.predict(CompletionQuery.tail_query(head, relation), kb, len(kb.entities))
+    preds = model.predict(CompletionQuery(head, relation), kb, len(kb.entities))
     return [p.entity for p in preds].index(tail) + 1
 
 
+def pretrained(run_dir, kb, pretrain, dim, config):
+    """A completer pretrained in memory, snapshotted as ``pretrain`` would."""
+    model = NativeCompleter(kb, dim=dim, seed=0)
+    model.pretrain(pretrain, kb, config)
+    RunLog(run_dir).restart(model)
+    return model
+
+
 class TestTrainJoint:
-    def setup_run(self):
+    def setup_run(self, run_dir):
         kb = chain_kb()
         pretrain = sorted(kb.triples)
-        model = NativeCompleter(kb, dim=32, seed=0)
         config = TrainingConfig(epochs=200, seed=0, finetune_passes=100)
-        model.pretrain(pretrain, kb, config)
+        model = pretrained(run_dir, kb, pretrain, 32, config)
         script = generate_episode_script("E0", "E5") + generate_episode_script("E1", "E7")
         qa = [
             QaExample("q one?", ("e0",), ("E5",)),
@@ -67,57 +73,58 @@ class TestTrainJoint:
         ]
         return kb, model, config, pretrain, ScriptedBackend(script), qa
 
-    def test_two_questions_two_finetunes(self):
-        kb, model, config, pretrain, backend, qa = self.setup_run()
-        result = train_joint(
-            kb, qa, model, backend,
+    def test_two_questions_two_finetunes(self, tmp_path):
+        kb, model, config, pretrain, backend, qa = self.setup_run(tmp_path)
+        result = run_joint_training(
+            tmp_path, kb, qa, model, backend,
             train_config=config, pretrain_triples=pretrain,
         )
         assert len(result.records) == 2
         assert all(r.finetuned for r in result.records)
         assert [len(r.path.triples) for r in result.records] == [1, 1]
 
-    def test_injected_triple_rank_improves(self):
-        kb, model, config, pretrain, backend, qa = self.setup_run()
+    def test_injected_triple_rank_improves(self, tmp_path):
+        kb, model, config, pretrain, backend, qa = self.setup_run(tmp_path)
         before = rank_of(model, kb, "e0", "r", "e5")
-        train_joint(kb, qa, model, backend, train_config=config, pretrain_triples=pretrain)
+        run_joint_training(
+            tmp_path, kb, qa, model, backend, train_config=config, pretrain_triples=pretrain
+        )
         after = rank_of(model, kb, "e0", "r", "e5")
         assert after < before
 
-    def test_bit_reproducible(self):
+    def test_bit_reproducible(self, tmp_path):
         runs = []
-        for _ in range(2):
-            kb, model, config, pretrain, backend, qa = self.setup_run()
-            result = train_joint(
-                kb, qa, model, backend, train_config=config, pretrain_triples=pretrain
+        for i in range(2):
+            run_dir = tmp_path / str(i)
+            kb, model, config, pretrain, backend, qa = self.setup_run(run_dir)
+            result = run_joint_training(
+                run_dir, kb, qa, model, backend, train_config=config, pretrain_triples=pretrain
             )
             runs.append(result.completer.entity_vecs.copy())
         assert np.array_equal(runs[0], runs[1])
 
-    def test_empty_path_skips_finetune(self):
+    def test_empty_path_skips_finetune(self, tmp_path):
         kb = chain_kb()
         pretrain = sorted(kb.triples)
-        model = NativeCompleter(kb, dim=16, seed=0)
         config = TrainingConfig(epochs=5, seed=0)
-        model.pretrain(pretrain, kb, config)
+        model = pretrained(tmp_path, kb, pretrain, 16, config)
         # the finish answer never matches gold, so no path is parsed
         backend = ScriptedBackend([("", "Thought 1: hm.\nAction 1: Finish[E9]")])
         before = model.entity_vecs.copy()
-        result = train_joint(
-            kb, [QaExample("q?", ("e0",), ("E5",))], model, backend,
+        result = run_joint_training(
+            tmp_path, kb, [QaExample("q?", ("e0",), ("E5",))], model, backend,
             train_config=config, pretrain_triples=pretrain,
         )
         assert not result.records[0].finetuned
         assert np.array_equal(model.entity_vecs, before)
 
-    def test_topicless_question_routed_to_fallback(self):
+    def test_topicless_question_routed_to_fallback(self, tmp_path):
         kb = chain_kb()
         pretrain = sorted(kb.triples)
-        model = NativeCompleter(kb, dim=16, seed=0)
-        model.pretrain(pretrain, kb, TrainingConfig(epochs=5, seed=0))
+        model = pretrained(tmp_path, kb, pretrain, 16, TrainingConfig(epochs=5, seed=0))
         backend = ScriptedBackend([("", "Answer: E5")])
-        result = train_joint(
-            kb, [QaExample("q?", (), ("E5",))], model, backend,
+        result = run_joint_training(
+            tmp_path, kb, [QaExample("q?", (), ("E5",))], model, backend,
             train_config=TrainingConfig(epochs=5, seed=0), pretrain_triples=pretrain,
         )
         record = result.records[0]
@@ -141,11 +148,10 @@ class TestTrainJoint:
         ],
         ids=["first_agent_call", "path_select", "complete_predict", "finetune"],
     )
-    def test_transport_failure_skips_question(self, failing_call, failing_method, script):
+    def test_transport_failure_skips_question(self, tmp_path, failing_call, failing_method, script):
         kb = chain_kb()
         pretrain = sorted(kb.triples)
-        model = NativeCompleter(kb, dim=16, seed=0)
-        model.pretrain(pretrain, kb, TrainingConfig(epochs=5, seed=0))
+        model = pretrained(tmp_path, kb, pretrain, 16, TrainingConfig(epochs=5, seed=0))
 
         inner = ScriptedBackend(script)
 
@@ -174,7 +180,8 @@ class TestTrainJoint:
                     raise CompleterTransportError("boom")
                 return fail
 
-        result = train_joint(
+        result = run_joint_training(
+            tmp_path,
             kb,
             [QaExample("q one?", ("e0",), ("E5",)), QaExample("q two?", ("e1",), ("E7",))],
             FlakyCompleter(),
@@ -203,11 +210,10 @@ class TestPersistence:
         kb = chain_kb()
         pretrain = sorted(kb.triples)
         config = TrainingConfig(epochs=10, seed=0, finetune_passes=5)
-        model = NativeCompleter(kb, dim=16, seed=0)
-        model.pretrain(pretrain, kb, config)
+        run_dir = tmp_path / "run"
+        model = pretrained(run_dir, kb, pretrain, 16, config)
         qa = [QaExample("q one?", ("e0",), ("E5",)), QaExample("q two?", ("e1",), ("E7",))]
 
-        run_dir = tmp_path / "run"
         backend = ScriptedBackend(generate_episode_script("E0", "E5"))
         run_joint_training(
             run_dir, kb, qa[:1], model, backend,

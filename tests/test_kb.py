@@ -59,10 +59,6 @@ class TestTriple:
             t.head = "c"
         assert t == Triple("a", "r", "b")
 
-    def test_is_noop(self):
-        assert Triple("a", NOOP_RELATION, "a").is_noop()
-        assert not Triple("a", "r", "a").is_noop()
-
     def test_json_list_round_trips(self):
         t = Triple("Q1", "P2", "Q3")
         fields = json.loads(json.dumps([t.head, t.relation, t.tail]))
@@ -153,7 +149,7 @@ class TestDegrade:
         kb = random_kb(rng, 300, 8, 1000)
         train = sorted(kb.triples)
         kept = degrade(train, 0.5, seed=5, entities=kb.entities)
-        originals = [t for t in kept if not t.is_noop()]
+        originals = [t for t in kept if t.relation != NOOP_RELATION]
         assert len(originals) == round(0.5 * len(train))
         covered = {e for t in originals for e in (t.head, t.tail)}
         for e in kb.entities:
@@ -171,7 +167,7 @@ class TestDegrade:
         triples = [("hub", "r", f"leaf{i}") for i in range(4)]
         kb = make_kb(triples)
         kept = degrade([Triple(*t) for t in triples], 0.25, seed=2, entities=kb.entities)
-        originals = {t for t in kept if not t.is_noop()}
+        originals = {t for t in kept if t.relation != NOOP_RELATION}
         assert len(originals) == 1
         surviving_leaf = next(iter(originals)).tail
         expected_loops = {
@@ -179,7 +175,7 @@ class TestDegrade:
             for i in range(4)
             if f"leaf{i}" != surviving_leaf
         }
-        assert {t for t in kept if t.is_noop()} == expected_loops
+        assert {t for t in kept if t.relation == NOOP_RELATION} == expected_loops
 
     def test_no_entity_left_isolated(self):
         rng = random.Random(23)
@@ -234,7 +230,7 @@ class TestNeighbors:
             kb = random_kb(rng, 30, 5, 60)
             for e in kb.entities:
                 expected = {
-                    t for t in kb.triples if not t.is_noop() and e in (t.head, t.tail)
+                    t for t in kb.triples if t.relation != NOOP_RELATION and e in (t.head, t.tail)
                 }
                 assert set(kb.neighbors(e)) == expected
 
@@ -258,7 +254,7 @@ def brute_force_cooccurrence(kb, r, r_hat) -> int:
     for e in kb.entities:
         incident = set()
         for t in kb.triples:
-            if t.is_noop():
+            if t.relation == NOOP_RELATION:
                 continue
             if t.head == e or t.tail == e:
                 incident.add(t.relation)

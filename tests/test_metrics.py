@@ -109,7 +109,7 @@ class TestHitsAtK:
 def protocol_rank(completer, kb, triple, known):
     """The ranking protocol spelled out: full predict, drop the other known
     tails of (h, r), then the gold's 1-based position (0 when absent)."""
-    query = CompletionQuery.tail_query(triple.head, triple.relation)
+    query = CompletionQuery(triple.head, triple.relation)
     ranking = [p.entity for p in completer.predict(query, kb, len(kb.entities))]
     ranking = [
         e for e in ranking
@@ -120,7 +120,7 @@ def protocol_rank(completer, kb, triple, known):
 
 def fast_rank(completer, kb, triple, known):
     index = {e: i for i, e in enumerate(sorted(kb.entities))}
-    query = CompletionQuery.tail_query(triple.head, triple.relation)
+    query = CompletionQuery(triple.head, triple.relation)
     excluded = [
         index[t.tail] for t in known
         if (t.head, t.relation) == (triple.head, triple.relation) and t.tail != triple.tail
