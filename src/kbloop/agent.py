@@ -22,7 +22,6 @@ it ends the episode with "unknown".
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass, field
