@@ -151,11 +151,14 @@ class Trajectory:
     predicted_answers: list[str] = field(default_factory=list)
     verified_answers: list[str] = field(default_factory=list)
     final_answers: list[str] = field(default_factory=list)
-    llm_call_count: int = 0
     template_calls: list[str] = field(default_factory=list)
     stop_reason: str = ""
     notes: list[str] = field(default_factory=list)
     wall_time_s: float = 0.0
+
+    @property
+    def llm_call_count(self) -> int:
+        return len(self.template_calls)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         record = {
@@ -186,22 +189,20 @@ class Trajectory:
 class TemplateChat:
     """Routes every model call through the template catalog.
 
-    Counts calls, records template names for the audit trail, and enforces
-    the hard call ceiling when one is set.
+    Records each call's template name, which is both the audit trail and the
+    call count, and enforces the hard call ceiling when one is set.
     """
 
     def __init__(self, backend, params: LlmParams | None = None, max_calls: int | None = None):
         self.backend = backend
         self.params = params or LlmParams()
         self.max_calls = max_calls
-        self.calls = 0
         self.template_calls: list[str] = []
 
     def __call__(self, template_name: str, bindings: dict) -> str:
-        if self.max_calls is not None and self.calls >= self.max_calls:
+        if self.max_calls is not None and len(self.template_calls) >= self.max_calls:
             raise BudgetExhausted(f"call budget of {self.max_calls} exhausted")
         prompt = render(get_template(template_name), bindings)
-        self.calls += 1
         self.template_calls.append(template_name)
         return self.backend.chat([ChatTurn("user", prompt)], self.params)
 
@@ -470,9 +471,7 @@ def run_episode(
         try:
             trajectory.final_answers = cot_fallback(question, chat)
         except LlmTransportError as exc:
-            trajectory.llm_call_count = chat.calls
             raise EpisodeAborted(str(exc), trajectory) from exc
-        trajectory.llm_call_count = chat.calls
         trajectory.stop_reason = "cot"
         trajectory.wall_time_s = time.perf_counter() - started
         return trajectory
@@ -544,11 +543,9 @@ def run_episode(
         trajectory.stop_reason = "budget"
         trajectory.notes.append("call budget exhausted")
     except (LlmTransportError, CompleterTransportError) as exc:
-        trajectory.llm_call_count = chat.calls
         trajectory.wall_time_s = time.perf_counter() - started
         raise EpisodeAborted(str(exc), trajectory) from exc
 
-    trajectory.llm_call_count = chat.calls
     trajectory.wall_time_s = time.perf_counter() - started
     if trajectory.llm_call_count > config.call_budget:
         raise AssertionError("call accounting exceeded the hard budget")

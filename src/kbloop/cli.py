@@ -62,7 +62,9 @@ def _backend(cfg, scripted):
     return LiveBackend(cfg.llm_endpoint, cfg.llm_model, api_key=config_mod.api_key())
 
 
-def _completer(cfg, run_dir=None, kb=None, require_checkpoint=False):
+def _completer(cfg, run_dir, kb):
+    """The configured remote completer, or the native snapshot that
+    ``pretrain`` wrote in ``run_dir``."""
     if cfg.completer_endpoint:
         return RemoteCompleter(
             cfg.completer_endpoint,
@@ -70,18 +72,16 @@ def _completer(cfg, run_dir=None, kb=None, require_checkpoint=False):
             temperature=cfg.slm_temperature,
             max_context=cfg.max_context,
         )
-    checkpoint = Path(run_dir) / "completer.npz" if run_dir else None
-    if checkpoint and checkpoint.exists():
-        completer = NativeCompleter.load(checkpoint)
-        if completer.entity_ids != list(kb.entity_index):
-            raise click.UsageError(
-                f"completer checkpoint {checkpoint} does not match the KB's entities; "
-                "run `kbloop pretrain` again"
-            )
-        return completer
-    if require_checkpoint:
+    checkpoint = Path(run_dir) / "completer.npz"
+    if not checkpoint.exists():
         raise click.UsageError(f"no completer checkpoint in {run_dir}; run `kbloop pretrain` first")
-    return NativeCompleter(kb, dim=cfg.embedding_dim, seed=cfg.seed)
+    completer = NativeCompleter.load(checkpoint)
+    if completer.entity_ids != list(kb.entity_index):
+        raise click.UsageError(
+            f"completer checkpoint {checkpoint} does not match the KB's entities; "
+            "run `kbloop pretrain` again"
+        )
+    return completer
 
 
 def _emit_report(run_dir, payload: dict) -> None:
@@ -140,8 +140,11 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
     )
     # the full KB is only split and degraded, so it is read and checked, not indexed
     entities, _, triples = kb_mod.read_kb(*_kb_paths(cfg))
-    bundle = kb_mod.split(triples, cfg.n_valid, cfg.n_test, cfg.seed)
-    working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.seed, [e.id for e in entities])
+    try:
+        bundle = kb_mod.split(triples, cfg.n_valid, cfg.n_test, cfg.seed)
+        working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.seed, [e.id for e in entities])
+    except ValueError as exc:  # split sizes or keep_fraction that the KB cannot meet
+        raise click.UsageError(str(exc)) from exc
 
     out = Path(run_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,9 +168,12 @@ def pretrain(config_path, run_dir):
     """Pretrain the completer on the prepared (degraded) training graph."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, kb=working_kb)
+    if cfg.completer_endpoint:
+        completer = _completer(cfg, run_dir, working_kb)
+    else:
+        completer = NativeCompleter(working_kb, dim=cfg.embedding_dim, seed=cfg.seed)
     started = time.perf_counter()
-    completer.pretrain(working_kb.triples, working_kb, cfg.training_config())
+    completer.pretrain(working_kb.triples, working_kb, cfg.training)
     joint_mod.RunLog(run_dir).restart(completer)
     click.echo(f"pretrained completer in {time.perf_counter() - started:.1f}s")
 
@@ -182,7 +188,7 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
     """Run the joint loop: episodes, path parsing, incremental fine-tuning."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir=run_dir, kb=working_kb, require_checkpoint=True)
+    completer = _completer(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
     qa_train = joint_mod.load_qa_examples(qa_path)
     result = joint_mod.run_joint_training(
@@ -192,10 +198,8 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
         completer,
         backend,
         resume=resume,
-        agent_config=cfg.agent_config(),
-        train_config=cfg.training_config(),
-        samples_per_triple=cfg.replay_samples_per_triple,
-        pretrain_triples=working_kb.triples,
+        agent_config=cfg.agent,
+        train_config=cfg.training,
         params=cfg.llm_params(),
     )
     finetuned = sum(1 for r in result.records if r.finetuned)
@@ -217,7 +221,7 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
     except ValueError:
         raise click.UsageError(f"bad --k list: {ks!r}")
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir=run_dir, kb=working_kb, require_checkpoint=True)
+    completer = _completer(cfg, run_dir, working_kb)
     queries = kb_mod.read_triples(
         Path(run_dir) / f"{split_name}.tsv", working_kb.entities, working_kb.relations
     )
@@ -255,12 +259,12 @@ def answer(config_path, run_dir, question, topic, scripted):
     """Answer one question with the agent loop."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
+    completer = _completer(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
     topics = [t.strip() for t in topic.split(",") if t.strip()]
     trajectory = agent_mod.run_episode(
         question, topics, working_kb, completer, backend,
-        config=cfg.agent_config(), params=cfg.llm_params(),
+        config=cfg.agent, params=cfg.llm_params(),
     )
     click.echo(json.dumps(
         {"answers": trajectory.final_answers, "llm_calls": trajectory.llm_call_count,
@@ -278,7 +282,7 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
     """Run inference episodes over a QA set and report Hits@1 + efficiency."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir=run_dir, kb=working_kb)
+    completer = _completer(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
     examples = joint_mod.load_qa_examples(qa_path)
 
@@ -288,7 +292,7 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
         for ex in examples:
             trajectory = agent_mod.run_episode(
                 ex.question, list(ex.topic_entities), working_kb, completer, backend,
-                config=cfg.agent_config(), params=cfg.llm_params(),
+                config=cfg.agent, params=cfg.llm_params(),
             )
             fh.write(json.dumps(trajectory.to_dict(include_timing=True),
                                 ensure_ascii=False, sort_keys=True) + "\n")

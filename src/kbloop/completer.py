@@ -82,6 +82,13 @@ class TrainingConfig:
     seed: int = 0
     # sweeps over the combined new+replay sample during one fine-tune call
     finetune_passes: int = 10
+    replay_samples_per_triple: int = 10
+
+    def __post_init__(self):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("finetune_passes", 1),
+                            ("replay_samples_per_triple", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 class ReplayMemory:
@@ -243,14 +250,14 @@ class NativeCompleter:
         self,
         path_triples,
         memory: ReplayMemory,
-        samples_per_triple: int = 10,
         kb: KnowledgeBase | None = None,
         config: TrainingConfig | None = None,
     ) -> "NativeCompleter":
         """Fine-tune on new triples mixed with a replay sample.
 
-        Draws ``samples_per_triple`` replay triples per new triple, then runs
-        ``config.finetune_passes`` minibatch sweeps over the combined sample.
+        Draws ``config.replay_samples_per_triple`` replay triples per new
+        triple, then runs ``config.finetune_passes`` minibatch sweeps over the
+        combined sample.
         Empty input is a no-op and leaves the model bit-identical. The
         vocabulary is fixed at construction: a triple naming an entity or
         relation outside it raises :class:`UnknownEntityError` or
@@ -262,7 +269,7 @@ class NativeCompleter:
         if not self.trained:
             raise ModelStateError("incremental fine-tuning requires a pretrained model")
         config = config or TrainingConfig()
-        replay = memory.sample(len(path_triples) * samples_per_triple)
+        replay = memory.sample(len(path_triples) * config.replay_samples_per_triple)
         combined = self._encode(path_triples + replay)
         self._run_passes(combined, config, config.finetune_passes)
         return self
@@ -439,7 +446,6 @@ class RemoteCompleter:
         self,
         path_triples,
         memory: ReplayMemory,
-        samples_per_triple: int = 10,
         kb: KnowledgeBase | None = None,
         config: TrainingConfig | None = None,
     ) -> "RemoteCompleter":
@@ -448,7 +454,8 @@ class RemoteCompleter:
             return self
         if kb is None:
             raise ValueError("remote fine-tuning needs the KB for label rendering")
-        replay = memory.sample(len(path_triples) * samples_per_triple)
+        config = config or TrainingConfig()
+        replay = memory.sample(len(path_triples) * config.replay_samples_per_triple)
 
         def rows(triples):
             return [

@@ -1,17 +1,14 @@
 """Run configuration: a flat key/value JSON file plus flag overrides.
 
-Defaults follow the standard operating point: context cap 20, chat
-temperature 0.7 with 256 max tokens, decoder sampling size 500 at
-temperature 1, five completer candidates per Complete action, ten replay
-samples per path triple, batch size 64, and a ten-step episode budget with
-two model calls per step.
+Each key belongs to :class:`RunConfig`, :class:`AgentConfig` or
+:class:`TrainingConfig`, which declares its default and checks its range.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .agent import AgentConfig
@@ -32,23 +29,10 @@ class RunConfig:
     n_valid: int = 0
     n_test: int = 0
     keep_fraction: float = 0.5
-    seed: int = 0
-
-    # agent loop
-    max_thoughts: int = 10
-    max_calls_per_step: int = 2
-    complete_top_k: int = 5
-    relations_per_search: int = 3
-    max_search_triples: int = 30
-    max_generate_context: int = 8
+    seed: int = 0  # load_config gives it to `training` as well
 
     # completer
     embedding_dim: int = 64
-    epochs: int = 30
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    finetune_passes: int = 10
-    replay_samples_per_triple: int = 10
     completer_endpoint: str = ""
     r_samples: int = 500
     slm_temperature: float = 1.0
@@ -60,38 +44,32 @@ class RunConfig:
     llm_temperature: float = 0.7
     llm_max_tokens: int = 256
 
-    def agent_config(self) -> AgentConfig:
-        return AgentConfig(
-            max_thoughts=self.max_thoughts,
-            max_calls_per_step=self.max_calls_per_step,
-            complete_top_k=self.complete_top_k,
-            relations_per_search=self.relations_per_search,
-            max_search_triples=self.max_search_triples,
-            max_generate_context=self.max_generate_context,
-        )
+    agent: AgentConfig = field(default_factory=AgentConfig)
+    training: TrainingConfig = field(default_factory=TrainingConfig)
 
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            finetune_passes=self.finetune_passes,
-        )
+    def __post_init__(self):
+        if self.embedding_dim < 1:
+            raise ValueError("embedding_dim must be positive")
 
     def llm_params(self) -> LlmParams:
         return LlmParams(temperature=self.llm_temperature, max_tokens=self.llm_max_tokens)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The flat key/value form that :func:`load_config` reads."""
+        data = asdict(self)
+        return {**data.pop("agent"), **data.pop("training"), **data}
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a config from an optional flat JSON file and override pairs.
 
-    A file that does not hold a JSON object, an unknown key, and an
-    ``llm_endpoint`` or ``completer_endpoint`` that is set but is not an
-    ``http``/``https`` URL with a host raise :class:`ValueError`.
+    Each key goes to the dataclass that declares it, ``seed`` to both
+    ``RunConfig`` and ``TrainingConfig``. A file that does not hold a JSON
+    object, an unknown key, a value of another JSON type than its default
+    (an integer may stand for a float, a boolean never for an integer) or
+    out of range, and an ``llm_endpoint`` or ``completer_endpoint`` that is
+    set but is not an ``http``/``https`` URL with a host raise
+    :class:`ValueError`.
     Environment variables supply the chat endpoint/model/credential when the
     file and overrides leave them empty.
     """
@@ -107,10 +85,18 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
 
-    unknown = sorted(data.keys() - {f.name for f in fields(RunConfig)})
+    defaults = RunConfig().to_dict()
+    unknown = sorted(data.keys() - defaults.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    config = RunConfig(**data)
+    for key, value in data.items():
+        expected = type(defaults[key])
+        if type(value) is not expected and (expected, type(value)) != (float, int):
+            raise ValueError(f"{key} must be {expected.__name__}, not {json.dumps(value)}")
+    part = {cls: {f.name: data[f.name] for f in fields(cls) if f.name in data}
+            for cls in (RunConfig, AgentConfig, TrainingConfig)}
+    config = RunConfig(**part[RunConfig], agent=AgentConfig(**part[AgentConfig]),
+                       training=TrainingConfig(**part[TrainingConfig]))
 
     if not config.llm_endpoint:
         config.llm_endpoint = os.environ.get(ENV_LLM_ENDPOINT, "")

@@ -194,10 +194,8 @@ def run_joint_training(
     llm,
     resume: bool = False,
     *,
-    pretrain_triples,
     agent_config: AgentConfig | None = None,
     train_config: TrainingConfig | None = None,
-    samples_per_triple: int = 10,
     params: LlmParams | None = None,
 ) -> JointResult:
     """Run the loop over ``qa_train`` in input order, persisted in ``run_dir``;
@@ -211,25 +209,25 @@ def run_joint_training(
     earlier sweeps. A remote completer's service owns its training state, so
     for it the log only tells where the sweep continues.
 
-    The replay memory samples ``pretrain_triples``. Every chat call, the
-    episode's and ``path_select``'s alike, runs with ``params``. A transport
-    failure, of any chat call or of the completer's ``predict`` or fine-tune,
-    skips the question: it is logged with its error, and the loop continues.
-    So does a native fine-tune whose loss turns non-finite: the completer and
-    the replay memory are rolled back to before that fine-tune by reloading
-    the snapshot and replaying the log. Each question's line is appended to
-    the log before the next question starts. After a rollback the caller's
-    completer object is stale; the result holds the current one.
+    A fine-tune adds ``train_config.replay_samples_per_triple`` replay triples
+    per path triple, sampled from ``kb.triples``, the pretraining set. Every
+    chat call, the episode's and ``path_select``'s alike, runs with
+    ``params``. A transport failure, of any chat call or of the completer's
+    ``predict`` or fine-tune, skips the question: it is logged with its error,
+    and the loop continues. So does a native fine-tune whose loss turns
+    non-finite: the completer and the replay memory are rolled back to before
+    that fine-tune by reloading the snapshot and replaying the log. Each
+    question's line is appended to the log before the next question starts.
+    After a rollback the caller's completer object is stale; the result holds
+    the current one.
     """
     log = RunLog(run_dir)
     agent_config = agent_config or AgentConfig()
     train_config = train_config or TrainingConfig()
-    memory = ReplayMemory(pretrain_triples, seed=train_config.seed)
+    memory = ReplayMemory(kb.triples, seed=train_config.seed)
 
     def finetune(model, triples):
-        model.incremental_finetune(
-            triples, memory, samples_per_triple=samples_per_triple, kb=kb, config=train_config
-        )
+        model.incremental_finetune(triples, memory, kb=kb, config=train_config)
 
     native = hasattr(completer, "save")
     if native:

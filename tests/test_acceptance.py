@@ -362,7 +362,7 @@ def test_replay_finetune_learns_without_forgetting():
     mrr_before = _probe_mrr(model, kb, probe)
 
     memory = ReplayMemory(train_triples, seed=0)
-    model.incremental_finetune(new_triples, memory, samples_per_triple=10, kb=kb, config=config)
+    model.incremental_finetune(new_triples, memory, kb=kb, config=config)
 
     rank_after = _mean_rank(model, kb, new_triples)
     mrr_after = _probe_mrr(model, kb, probe)
@@ -440,7 +440,7 @@ def test_joint_loop_over_degraded_kb(tmp_path):
     steps, qa = _inject_script(working, injected)
     result = run_joint_training(
         tmp_path, working, qa, model, ScriptedBackend(steps),
-        train_config=config, pretrain_triples=pretrain_triples,
+        train_config=config,
     )
 
     assert len(result.records) == 10

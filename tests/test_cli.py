@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from kbloop import cli
 from kbloop.cli import main
+from kbloop.config import RunConfig, load_config
 from kbloop.llm import LlmParams, LlmTransportError, ScriptedBackend
 
 
@@ -144,6 +145,71 @@ class TestPrepare:
     def test_unknown_subcommand_exits_2(self):
         result = CliRunner().invoke(main, ["frobnicate"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--keep-fraction", "0"], "keep_fraction"),
+        (["--keep-fraction", "1.5"], "keep_fraction"),
+        (["--n-valid", "55", "--n-test", "5"], "n_valid + n_test"),
+    ], ids=["keep_nothing", "keep_more_than_all", "held_out_all"])
+    def test_bad_split_is_usage_error(self, workspace, flags, named):
+        tmp_path, config_path = workspace
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "r"),
+                   *flags],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"Error: {named}" in result.output
+        assert not (tmp_path / "r").exists()
+
+
+# every config key and its default: a restructure must not rename, drop or
+# re-default one
+CONFIG_DEFAULTS = {
+    "triples_path": "", "entities_path": "", "relations_path": "",
+    "n_valid": 0, "n_test": 0, "keep_fraction": 0.5, "seed": 0,
+    "max_thoughts": 10, "max_calls_per_step": 2, "complete_top_k": 5,
+    "relations_per_search": 3, "max_search_triples": 30, "max_generate_context": 8,
+    "embedding_dim": 64, "epochs": 30, "learning_rate": 0.01, "batch_size": 64,
+    "finetune_passes": 10, "replay_samples_per_triple": 10, "completer_endpoint": "",
+    "r_samples": 500, "slm_temperature": 1.0, "max_context": 20,
+    "llm_endpoint": "", "llm_model": "", "llm_temperature": 0.7, "llm_max_tokens": 256,
+}
+
+
+class TestConfigSurface:
+    def test_defaults_are_pinned(self):
+        assert len(CONFIG_DEFAULTS) == 27
+        assert RunConfig().to_dict() == CONFIG_DEFAULTS
+
+    def test_prepare_snapshots_every_key(self, workspace):
+        run_dir = prepare(workspace)
+        snapshot = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        assert snapshot.keys() == CONFIG_DEFAULTS.keys()
+
+    def test_integer_stands_for_a_float(self, workspace):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config_path.write_text(json.dumps(dict(config, keep_fraction=1, learning_rate=1)),
+                               encoding="utf-8")
+        loaded = load_config(config_path).to_dict()
+        assert (loaded["keep_fraction"], loaded["learning_rate"]) == (1, 1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 0), ("batch_size", 0), ("epochs", "3"), ("max_thoughts", 0),
+        ("max_thoughts", True), ("embedding_dim", 0), ("finetune_passes", 0),
+        ("replay_samples_per_triple", -1), ("learning_rate", "0.1"),
+    ])
+    def test_bad_value_is_usage_error_naming_the_key(self, workspace, key, value):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config_path.write_text(json.dumps(dict(config, **{key: value})), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["pretrain", "--config", str(config_path), "--run-dir", str(run_dir)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"Error: {key} must be" in result.output
+        assert not (run_dir / "completer.npz").exists()
 
 
 # sha256 of each file `kb prepare` writes for the seeded input of
@@ -296,6 +362,7 @@ class TestAnswer:
     def test_scripted_answer_is_deterministic(self, workspace):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
         script = tmp_path / "script.jsonl"
         script.write_text(
             json.dumps({"expect": "which entity", "response": "Thought 1: easy.\nAction 1: Finish[Entity 3]"}) + "\n",
@@ -317,12 +384,35 @@ class TestAnswer:
     def test_missing_backend_is_usage_error(self, workspace):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
         result = CliRunner().invoke(
             main, ["answer", "--config", str(config_path), "--run-dir", str(run_dir),
                    "--question", "q?"],
         )
         assert result.exit_code == 2
         assert "no chat endpoint configured" in result.output
+
+    @pytest.mark.parametrize("command", ["answer", "eval-kbqa"])
+    def test_missing_snapshot_is_usage_error(self, workspace, command):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(
+            json.dumps({"question": "q?", "topic_entities": ["e0"], "answers": ["Entity 3"]}) + "\n",
+            encoding="utf-8",
+        )
+        script = tmp_path / "script.jsonl"
+        script.write_text("".join(json.dumps(s) + "\n" for s in [
+            {"expect": "q?", "response": "Thought 1: ask.\nAction 1: Complete[Entity 0 | rel 0]"},
+            {"expect": "", "response": "Thought 2: done.\nAction 2: Finish[Entity 3]"},
+        ]), encoding="utf-8")
+        args = {"answer": ["--question", "q?", "--topic", "e0"], "eval-kbqa": ["--qa", str(qa)]}
+        result = CliRunner().invoke(
+            main, [command, "--config", str(config_path), "--run-dir", str(run_dir),
+                   "--scripted", str(script), *args[command]],
+        )
+        assert result.exit_code == 2, result.output
+        assert "run `kbloop pretrain` first" in result.output
 
     def test_run_dir_is_required(self, workspace):
         tmp_path, config_path = workspace
@@ -336,6 +426,7 @@ class TestAnswer:
     def test_chat_transport_failure_is_one_line_error(self, workspace, monkeypatch, command):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
         qa = tmp_path / "qa.jsonl"
         qa.write_text(
             json.dumps({"question": "q?", "topic_entities": ["e0"], "answers": ["Entity 3"]}) + "\n",

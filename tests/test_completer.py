@@ -252,7 +252,7 @@ class TestIncrementalFinetune:
         before_e = model.entity_vecs.copy()
         before_r = model.relation_vecs.copy()
         memory = ReplayMemory(sorted(kb.triples), seed=0)
-        out = model.incremental_finetune([], memory, 10, kb, TrainingConfig())
+        out = model.incremental_finetune([], memory, kb, TrainingConfig())
         assert out is model
         assert np.array_equal(model.entity_vecs, before_e)
         assert np.array_equal(model.relation_vecs, before_r)
@@ -269,7 +269,7 @@ class TestIncrementalFinetune:
 
         monkeypatch.setattr(model, "_run_passes", spy)
         model.incremental_finetune(
-            [Triple("e0", "s", "e1")], memory, 10, kb, TrainingConfig(finetune_passes=1)
+            [Triple("e0", "s", "e1")], memory, kb, TrainingConfig(finetune_passes=1)
         )
         assert seen["batch"] == 11
 
@@ -279,7 +279,7 @@ class TestIncrementalFinetune:
         assert new not in kb.triples
         before = model.score_triple(new)
         memory = ReplayMemory(sorted(kb.triples), seed=0)
-        model.incremental_finetune([new], memory, 10, kb, TrainingConfig(finetune_passes=5))
+        model.incremental_finetune([new], memory, kb, TrainingConfig(finetune_passes=5))
         assert model.score_triple(new) > before
 
     def test_unknown_entity_raises_before_any_update(self):
@@ -289,7 +289,7 @@ class TestIncrementalFinetune:
         memory = ReplayMemory(sorted(kb.triples), seed=0)
         path = [Triple("brand_new", "r", "e0")]
         with pytest.raises(UnknownEntityError):
-            model.incremental_finetune(path, memory, 10, kb, TrainingConfig(finetune_passes=1))
+            model.incremental_finetune(path, memory, kb, TrainingConfig(finetune_passes=1))
         assert "brand_new" not in model.entity_ids
         assert np.array_equal(model.entity_vecs, before_e)
         assert np.array_equal(model.relation_vecs, before_r)
@@ -299,7 +299,7 @@ class TestIncrementalFinetune:
         model = NativeCompleter(kb)
         with pytest.raises(ModelStateError):
             model.incremental_finetune(
-                [Triple("e0", "r", "e1")], ReplayMemory(sorted(kb.triples)), 10, kb
+                [Triple("e0", "r", "e1")], ReplayMemory(sorted(kb.triples)), kb
             )
 
 
@@ -422,7 +422,8 @@ class TestRemoteCompleter:
         remote = RemoteCompleter(transport=transport)
         memory = ReplayMemory(sorted(bieber_kb.triples), seed=0)
         remote.incremental_finetune(
-            [Triple("Q34086", "P22", "Q16004214")], memory, samples_per_triple=2, kb=bieber_kb
+            [Triple("Q34086", "P22", "Q16004214")], memory, kb=bieber_kb,
+            config=TrainingConfig(replay_samples_per_triple=2),
         )
         path, payload = transport.requests[0]
         assert path == "finetune"

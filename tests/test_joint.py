@@ -77,7 +77,7 @@ class TestTrainJoint:
         kb, model, config, pretrain, backend, qa = self.setup_run(tmp_path)
         result = run_joint_training(
             tmp_path, kb, qa, model, backend,
-            train_config=config, pretrain_triples=pretrain,
+            train_config=config,
         )
         assert len(result.records) == 2
         assert all(r.finetuned for r in result.records)
@@ -87,7 +87,7 @@ class TestTrainJoint:
         kb, model, config, pretrain, backend, qa = self.setup_run(tmp_path)
         before = rank_of(model, kb, "e0", "r", "e5")
         run_joint_training(
-            tmp_path, kb, qa, model, backend, train_config=config, pretrain_triples=pretrain
+            tmp_path, kb, qa, model, backend, train_config=config
         )
         after = rank_of(model, kb, "e0", "r", "e5")
         assert after < before
@@ -98,7 +98,7 @@ class TestTrainJoint:
             run_dir = tmp_path / str(i)
             kb, model, config, pretrain, backend, qa = self.setup_run(run_dir)
             result = run_joint_training(
-                run_dir, kb, qa, model, backend, train_config=config, pretrain_triples=pretrain
+                run_dir, kb, qa, model, backend, train_config=config
             )
             runs.append(result.completer.entity_vecs.copy())
         assert np.array_equal(runs[0], runs[1])
@@ -113,7 +113,7 @@ class TestTrainJoint:
         before = model.entity_vecs.copy()
         result = run_joint_training(
             tmp_path, kb, [QaExample("q?", ("e0",), ("E5",))], model, backend,
-            train_config=config, pretrain_triples=pretrain,
+            train_config=config,
         )
         assert not result.records[0].finetuned
         assert np.array_equal(model.entity_vecs, before)
@@ -125,7 +125,7 @@ class TestTrainJoint:
         backend = ScriptedBackend([("", "Answer: E5")])
         result = run_joint_training(
             tmp_path, kb, [QaExample("q?", (), ("E5",))], model, backend,
-            train_config=TrainingConfig(epochs=5, seed=0), pretrain_triples=pretrain,
+            train_config=TrainingConfig(epochs=5, seed=0),
         )
         record = result.records[0]
         assert record.trajectory.stop_reason == "cot"
@@ -187,7 +187,6 @@ class TestTrainJoint:
             FlakyCompleter(),
             FlakyBackend(),
             train_config=TrainingConfig(epochs=5, seed=0, finetune_passes=2),
-            pretrain_triples=pretrain,
         )
         assert result.records[0].error
         # only a failed fine-tune comes after a parsed path
@@ -217,7 +216,7 @@ class TestPersistence:
         backend = ScriptedBackend(generate_episode_script("E0", "E5"))
         run_joint_training(
             run_dir, kb, qa[:1], model, backend,
-            train_config=config, pretrain_triples=pretrain,
+            train_config=config,
         )
         log = RunLog(run_dir)
         assert log.completed_questions() == 1
@@ -226,7 +225,7 @@ class TestPersistence:
         backend = ScriptedBackend(generate_episode_script("E1", "E7"))
         result = run_joint_training(
             run_dir, kb, qa, model, backend, resume=True,
-            train_config=config, pretrain_triples=pretrain,
+            train_config=config,
         )
         assert len(result.records) == 1  # only the second question ran
         assert log.completed_questions() == 2
@@ -249,7 +248,7 @@ class TestPersistence:
         run_dir = tmp_path / "run"
         result = run_joint_training(
             run_dir, kb, qa[:2], remote, ScriptedBackend(sum(scripts[:2], [])),
-            train_config=TrainingConfig(seed=0), pretrain_triples=sorted(kb.triples),
+            train_config=TrainingConfig(seed=0),
         )
         log = RunLog(run_dir)
         assert [r.finetuned for r in result.records] == [True, True]
@@ -259,7 +258,7 @@ class TestPersistence:
 
         result = run_joint_training(
             run_dir, kb, qa, remote, ScriptedBackend(scripts[2]), resume=True,
-            train_config=TrainingConfig(seed=0), pretrain_triples=sorted(kb.triples),
+            train_config=TrainingConfig(seed=0),
         )
         assert [r.trajectory.question for r in result.records] == ["q 2?"]
         assert [e["position"] for e in log.entries()] == [0, 1, 2]
@@ -320,7 +319,7 @@ class TestWriteAheadLog:
         model = NativeCompleter.load(run_dir / "completer.npz")
         return run_joint_training(
             run_dir, kb, qa, model, CrashingBackend(script, crash_at), resume=resume,
-            train_config=config, pretrain_triples=pretrain,
+            train_config=config,
         )
 
     def outcome(self, run_dir):
