@@ -237,7 +237,7 @@ def _extract_thought_action(response: str) -> tuple[str, str | None]:
     return thought, action
 
 
-def _parse_triple_lines(text: str) -> tuple[list[tuple[str, str, str]], list[str]]:
+def parse_triple_lines(text: str) -> tuple[list[tuple[str, str, str]], list[str]]:
     """Extract ``h, r, t`` lines; lines with commas that do not split into
     three non-empty parts are reported back as dropped."""
     triples, dropped = [], []
@@ -307,8 +307,9 @@ def exec_search(surfaces, thought, trajectory, kb, llm, config: AgentConfig) -> 
             "relation_select",
             {"thought": thought, "entity_name": kb.label_of(eid), "relations": ", ".join(labels)},
         )
+        neighbors = kb.neighbors(eid)
         for rid in _pick_relations(reply, rels, kb, config.relations_per_search):
-            for t in kb.neighbors(eid):
+            for t in neighbors:
                 h, r, x = t
                 if r != rid or t in seen:
                     continue
@@ -341,7 +342,7 @@ def exec_generate(sub_question, thought, trajectory, kb, llm, mode, gold_answers
     if mode == "train" and gold_answers:
         hint = f"Hint: {' | '.join(gold_answers)}\n"
     reply = llm("triple_generate", {"question": sub_question, "hint": hint, "known_triples": known})
-    raw_triples, dropped = _parse_triple_lines(reply)
+    raw_triples, dropped = parse_triple_lines(reply)
     notes = [f"unparseable triple line: {line}" for line in dropped]
     candidates = [_link_surface_triple(kb, h, r, t) for h, r, t in raw_triples]
     if not candidates:
@@ -366,7 +367,7 @@ def exec_generate(sub_question, thought, trajectory, kb, llm, mode, gold_answers
             "schemas": schemas or "none",
         },
     )
-    corrected, dropped = _parse_triple_lines(reply)
+    corrected, dropped = parse_triple_lines(reply)
     notes.extend(f"unparseable triple line: {line}" for line in dropped)
     triples = [_link_surface_triple(kb, h, r, t) for h, r, t in corrected]
     return Observation(triples=triples, notes=notes)

@@ -16,13 +16,13 @@ from . import config as config_mod
 from . import joint as joint_mod
 from . import kb as kb_mod
 from . import metrics as metrics_mod
-from .completer import CompletionQuery, NativeCompleter, RemoteCompleter
-from .llm import LiveBackend, ScriptedBackend
+from .completer import CompletionQuery, NativeCompleter, RemoteCompleter, TrainingError
+from .llm import LiveBackend, ScriptedBackend, ScriptMismatchError
+
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 def _load_run_config(config_path, **overrides) -> config_mod.RunConfig:
-    if config_path is not None and not Path(config_path).exists():
-        raise click.UsageError(f"config file not found: {config_path}")
     try:
         return config_mod.load_config(config_path, overrides)
     except ValueError as exc:
@@ -52,8 +52,6 @@ def _working_kb(run_dir) -> kb_mod.KnowledgeBase:
 
 def _backend(cfg, scripted):
     if scripted:
-        if not Path(scripted).exists():
-            raise click.UsageError(f"scripted transcript not found: {scripted}")
         return ScriptedBackend.from_jsonl(scripted)
     if not cfg.llm_endpoint or not cfg.llm_model:
         raise click.UsageError(
@@ -93,15 +91,17 @@ def _emit_report(run_dir, payload: dict) -> None:
 
 
 class _Main(click.Group):
-    """Reports a KB input error (a malformed file, an unknown id), a run
-    directory whose snapshot and question log disagree, or an episode aborted
-    by a transport failure as a one-line CLI error with exit code 1, for
+    """Reports a malformed input file or an unknown id, a run directory whose
+    snapshot and question log disagree, an episode aborted by a transport
+    failure, a scripted transcript that does not fit the run, and pretraining
+    whose loss turned non-finite as a one-line CLI error with exit code 1, for
     every command."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (kb_mod.KbError, joint_mod.RunLogError, agent_mod.EpisodeAborted) as exc:
+        except (kb_mod.KbError, joint_mod.RunLogError, agent_mod.EpisodeAborted,
+                ScriptMismatchError, TrainingError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -122,7 +122,7 @@ def kb():
 
 
 @kb.command("prepare")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=_INPUT_FILE, default=None)
 @click.option("--triples", default=None, help="Triples file (head<TAB>relation<TAB>tail).")
 @click.option("--entities", default=None, help="Entities file (id<TAB>label<TAB>description).")
 @click.option("--relations", default=None, help="Relations file (id<TAB>label<TAB>desc<TAB>schema).")
@@ -162,7 +162,7 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=_INPUT_FILE, default=None)
 @click.option("--run-dir", type=click.Path(), required=True)
 def pretrain(config_path, run_dir):
     """Pretrain the completer on the prepared (degraded) training graph."""
@@ -179,10 +179,10 @@ def pretrain(config_path, run_dir):
 
 
 @main.command("train-joint")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=_INPUT_FILE, default=None)
 @click.option("--run-dir", type=click.Path(), required=True)
-@click.option("--qa", "qa_path", type=click.Path(), required=True, help="QA training set (JSONL).")
-@click.option("--scripted", type=click.Path(), default=None, help="Scripted chat transcript (JSONL).")
+@click.option("--qa", "qa_path", type=_INPUT_FILE, required=True, help="QA training set (JSONL).")
+@click.option("--scripted", type=_INPUT_FILE, default=None, help="Scripted chat transcript (JSONL).")
 @click.option("--resume", is_flag=True, help="Continue the log's current sweep after its last question.")
 def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
     """Run the joint loop: episodes, path parsing, incremental fine-tuning."""
@@ -207,7 +207,7 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
 
 
 @main.command("eval-kbc")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=_INPUT_FILE, default=None)
 @click.option("--run-dir", type=click.Path(), required=True)
 @click.option("--split", "split_name", type=click.Choice(["valid", "test"]), default="test")
 @click.option("--k", "ks", default="1,3,10", help="Comma-separated Hits@k cutoffs.")
@@ -250,11 +250,11 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=_INPUT_FILE, default=None)
 @click.option("--run-dir", type=click.Path(), required=True)
 @click.option("--question", required=True)
 @click.option("--topic", default="", help="Comma-separated topic entity ids.")
-@click.option("--scripted", type=click.Path(), default=None)
+@click.option("--scripted", type=_INPUT_FILE, default=None)
 def answer(config_path, run_dir, question, topic, scripted):
     """Answer one question with the agent loop."""
     cfg = _load_run_config(config_path)
@@ -274,10 +274,10 @@ def answer(config_path, run_dir, question, topic, scripted):
 
 
 @main.command("eval-kbqa")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=_INPUT_FILE, default=None)
 @click.option("--run-dir", type=click.Path(), required=True)
-@click.option("--qa", "qa_path", type=click.Path(), required=True)
-@click.option("--scripted", type=click.Path(), default=None)
+@click.option("--qa", "qa_path", type=_INPUT_FILE, required=True)
+@click.option("--scripted", type=_INPUT_FILE, default=None)
 def eval_kbqa(config_path, run_dir, qa_path, scripted):
     """Run inference episodes over a QA set and report Hits@1 + efficiency."""
     cfg = _load_run_config(config_path)
@@ -286,19 +286,20 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
     backend = _backend(cfg, scripted)
     examples = joint_mod.load_qa_examples(qa_path)
 
-    log_path = Path(run_dir) / "kbqa_trajectories.jsonl"
-    final_answers, gold = [], []
-    with open(log_path, "w", encoding="utf-8") as fh:
+    # the efficiency averages come from the two numbers of each written record
+    final_answers, gold, costs = [], [], []
+    with open(Path(run_dir) / "kbqa_trajectories.jsonl", "w", encoding="utf-8") as fh:
         for ex in examples:
             trajectory = agent_mod.run_episode(
                 ex.question, list(ex.topic_entities), working_kb, completer, backend,
                 config=cfg.agent, params=cfg.llm_params(),
             )
-            fh.write(json.dumps(trajectory.to_dict(include_timing=True),
-                                ensure_ascii=False, sort_keys=True) + "\n")
+            record = trajectory.to_dict(include_timing=True)
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            costs.append({k: record[k] for k in ("llm_call_count", "wall_time_s")})
             final_answers.append(trajectory.final_answers)
             gold.append(list(ex.gold_answers))
-    efficiency = metrics_mod.efficiency_report(log_path)
+    efficiency = metrics_mod.efficiency_report(costs)
     result = metrics_mod.KbqaEvalResult(
         hits_at_1=metrics_mod.kbqa_hits_at_1(final_answers, gold),
         avg_llm_calls=efficiency["avg_llm_calls"],
@@ -309,17 +310,18 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
 
 
 @main.command()
-@click.option("--run-dir", type=click.Path(), required=True)
+@click.option("--run-dir", type=click.Path(exists=True, file_okay=False), required=True)
 def report(run_dir):
-    """Reprint the stored report and trajectory efficiency for a run."""
+    """Reprint the stored report and the joint question log's efficiency for
+    a run."""
     report_path = Path(run_dir) / "report.json"
     if report_path.exists():
         click.echo(report_path.read_text(encoding="utf-8").rstrip("\n"))
-    log_path = Path(run_dir) / "trajectories.jsonl"
-    if log_path.exists():
-        click.echo(json.dumps(metrics_mod.efficiency_report(log_path),
+    entries = joint_mod.RunLog(run_dir).entries()
+    if entries:
+        click.echo(json.dumps(metrics_mod.efficiency_report(entries),
                               ensure_ascii=False, sort_keys=True, indent=2))
-    if not report_path.exists() and not log_path.exists():
+    elif not report_path.exists():
         raise click.UsageError(f"nothing to report in {run_dir}")
 
 

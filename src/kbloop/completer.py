@@ -89,6 +89,8 @@ class TrainingConfig:
                             ("replay_samples_per_triple", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails both
+            raise ValueError("learning_rate must be finite and positive")
 
 
 class ReplayMemory:
@@ -303,11 +305,6 @@ class NativeCompleter:
         candidates = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
         order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
         return [RankedPrediction(self.entity_ids[i], float(scores[i])) for i in order]
-
-    def score_triple(self, t: Triple, kb: KnowledgeBase | None = None) -> float:
-        self._require_trained()
-        u = self.entity_vecs[self._eidx(t.head)] * self.relation_vecs[self._ridx(t.relation)]
-        return float(u @ self.entity_vecs[self._eidx(t.tail)])
 
     # -- persistence --------------------------------------------------------
 

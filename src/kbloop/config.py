@@ -7,6 +7,7 @@ Each key belongs to :class:`RunConfig`, :class:`AgentConfig` or
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -48,8 +49,10 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def __post_init__(self):
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be positive")
+        for name, least in (("embedding_dim", 1), ("r_samples", 1), ("max_context", 0),
+                            ("llm_max_tokens", 1), ("llm_temperature", 0), ("slm_temperature", 0)):
+            if not least <= getattr(self, name) < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite and at least {least}")
 
     def llm_params(self) -> LlmParams:
         return LlmParams(temperature=self.llm_temperature, max_tokens=self.llm_max_tokens)

@@ -21,7 +21,7 @@ import numpy as np
 from .agent import AgentConfig, EpisodeAborted, run_episode
 from .completer import CompleterTransportError, ReplayMemory, TrainingConfig, TrainingError
 from .durable import append_line, write_atomic
-from .kb import KnowledgeBase, Triple
+from .kb import KbLoadError, KnowledgeBase, Triple, read_jsonl
 from .llm import LlmParams, LlmTransportError
 from .paths import ReasoningPath, parse_reasoning_paths
 
@@ -38,26 +38,27 @@ class QaExample:
     topic_entities: tuple[str, ...]
     gold_answers: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.gold_answers:
-            raise ValueError("a QA example needs at least one gold answer")
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def load_qa_examples(path) -> list[QaExample]:
-    """One JSON record per line: question, topic_entities, answers."""
+    """One JSON object per line: a non-empty ``question`` string, a
+    non-empty ``answers`` list of strings and an optional
+    ``topic_entities`` list of entity ids. A line that breaks this raises
+    :class:`KbLoadError` naming ``path:line`` and the key."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            examples.append(
-                QaExample(
-                    question=record["question"],
-                    topic_entities=tuple(record.get("topic_entities", [])),
-                    gold_answers=tuple(record["answers"]),
-                )
-            )
+    for lineno, record in read_jsonl(path):
+        question, answers = record.get("question"), record.get("answers")
+        topics = record.get("topic_entities", [])
+        if not question or not isinstance(question, str):
+            raise KbLoadError(f"{path}:{lineno}: 'question' must be a non-empty string")
+        if not answers or not _is_strings(answers):
+            raise KbLoadError(f"{path}:{lineno}: 'answers' must be a non-empty list of strings")
+        if not _is_strings(topics):
+            raise KbLoadError(f"{path}:{lineno}: 'topic_entities' must be a list of strings")
+        examples.append(QaExample(question, tuple(topics), tuple(answers)))
     return examples
 
 
@@ -116,7 +117,7 @@ class RunLog:
         if end < len(data):
             logger.warning("dropping the torn last line of %s", self.trajectories_path)
             os.truncate(self.trajectories_path, end)
-        return [json.loads(line) for line in data[:end].decode("utf-8").splitlines() if line.strip()]
+        return [record for _, record in read_jsonl(self.trajectories_path)]
 
     def completed_questions(self) -> int:
         return len(self.entries())

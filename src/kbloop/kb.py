@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import logging
 import random
 from dataclasses import dataclass
@@ -84,6 +85,10 @@ class SplitBundle:
 class KnowledgeBase:
     """Indexed triple store over entity/relation records.
 
+    The records and triples are indexed as given, repeated triples dropped:
+    :func:`read_kb` checks the files they come from, and nothing here checks
+    them again (a caller building a store in code owes the same checks).
+
     Indexes kept in sync with ``triples``:
       * ``out_index``: head id -> triples with that head
       * ``in_index``: tail id -> triples with that tail
@@ -94,6 +99,8 @@ class KnowledgeBase:
         first use (relation linking)
       * ``entity_index``: entity id -> position in ascending id order, the
         candidate order of completer tail scores, built on first use
+      * ``_relation_entities``: relation id -> incident entities, for
+        :meth:`select_context`, built on first use
     """
 
     def __init__(self, entities, relations, triples):
@@ -101,19 +108,11 @@ class KnowledgeBase:
         self.relations: dict[RelationId, RelationRecord] = {}
         self._catalog: dict[str, list[EntityId]] = {}
         for rec in entities:
-            if not rec.id:
-                raise KbLoadError("entity id must be non-empty")
-            if not rec.label:
-                raise KbLoadError(f"entity {rec.id!r} has an empty label")
-            if rec.id in self.entities:
-                raise KbLoadError(f"duplicate entity id {rec.id!r}")
             self.entities[rec.id] = rec
             self._catalog.setdefault(normalize_label(rec.label), []).append(rec.id)
         for ids in self._catalog.values():
             ids.sort()
         for rec in relations:
-            if not rec.label:
-                raise KbLoadError(f"relation {rec.id!r} has an empty label")
             self.relations[rec.id] = rec
         if NOOP_RELATION not in self.relations:
             self.relations[NOOP_RELATION] = RelationRecord(
@@ -123,34 +122,20 @@ class KnowledgeBase:
         for r, rec in sorted(self.relations.items()):
             self._relation_catalog.setdefault(normalize_label(rec.label), []).append(r)
 
-        # one pass over the triples fills the set, both adjacency lists and,
-        # for co-occurrence counting, relation id -> set of incident entities
+        # one pass over the distinct triples fills the set and both adjacency lists
         triple_set, out_index, in_index = set(), {}, {}
-        relation_entities = {r: set() for r in self.relations}
         for t in triples:
             if t in triple_set:
                 continue
-            h, r, x = t
-            if h not in self.entities:
-                raise UnknownEntityError(f"triple references unknown entity {h!r}")
-            if x not in self.entities:
-                raise UnknownEntityError(f"triple references unknown entity {x!r}")
-            if r not in self.relations:
-                raise UnknownRelationError(f"triple references unknown relation {r!r}")
             triple_set.add(t)
-            out_index.setdefault(h, []).append(t)
-            in_index.setdefault(x, []).append(t)
-            if r != NOOP_RELATION:
-                incident = relation_entities[r]
-                incident.add(h)
-                incident.add(x)
+            out_index.setdefault(t[0], []).append(t)
+            in_index.setdefault(t[2], []).append(t)
         for adj in (out_index, in_index):
             for ts in adj.values():
                 ts.sort()
         self.triples: set[Triple] = triple_set
         self.out_index: dict[EntityId, list[Triple]] = out_index
         self.in_index: dict[EntityId, list[Triple]] = in_index
-        self._relation_entities: dict[RelationId, set[EntityId]] = relation_entities
 
     # -- lookups ----------------------------------------------------------
 
@@ -197,6 +182,16 @@ class KnowledgeBase:
         """Entity id -> position in ascending id order. This is the candidate
         order of ``tail_scores`` and of the completer's embedding rows."""
         return {e: i for i, e in enumerate(sorted(self.entities))}
+
+    @functools.cached_property
+    def _relation_entities(self) -> dict[RelationId, set[EntityId]]:
+        """Relation id -> entities incident to it, noop excluded, for
+        co-occurrence counting. Built on first use."""
+        incident = {}
+        for h, r, t in self.triples:
+            if r != NOOP_RELATION:
+                incident.setdefault(r, set()).update((h, t))
+        return incident
 
     # -- graph queries ----------------------------------------------------
 
@@ -304,6 +299,30 @@ def read_triples(path, entities=None, relations=None) -> list[Triple]:
                     raise KbLoadError(f"{path}:{lineno}: triple references unknown relation {r!r}")
             triples.append(Triple(h, r, t))
     return triples
+
+
+def read_jsonl(path) -> list[tuple[int, dict]]:
+    """Read one JSON object per line, skipping blank lines, as
+    ``(line number, object)`` pairs in file order.
+
+    A line that is not a JSON object raises :class:`KbLoadError` naming
+    ``path:line``; the caller checks the object's keys.
+    """
+    records = []
+    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 is named by line too
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise KbLoadError(f"{path}:{lineno}: not valid UTF-8") from None
+            except json.JSONDecodeError as exc:
+                raise KbLoadError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise KbLoadError(f"{path}:{lineno}: expected a JSON object")
+            records.append((lineno, record))
+    return records
 
 
 def read_kb(triples_path, entities_path, relations_path):

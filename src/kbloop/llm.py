@@ -12,6 +12,8 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
+from .kb import KbLoadError, read_jsonl
+
 logger = logging.getLogger(__name__)
 
 
@@ -58,13 +60,17 @@ class ScriptedBackend:
 
     @classmethod
     def from_jsonl(cls, path) -> "ScriptedBackend":
+        """One JSON object per line: a ``response`` string and an optional
+        ``expect`` substring. A line without ``response`` raises
+        :class:`KbLoadError` naming ``path:line``."""
         steps = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                steps.append((record.get("expect", ""), record["response"]))
+        for lineno, record in read_jsonl(path):
+            response, expect = record.get("response"), record.get("expect", "")
+            if not isinstance(response, str) or not isinstance(expect, str):
+                raise KbLoadError(
+                    f"{path}:{lineno}: 'response' must be a string, and so must 'expect' if given"
+                )
+            steps.append((expect, response))
         return cls(steps)
 
     def chat(self, turns, params: LlmParams | None = None) -> str:

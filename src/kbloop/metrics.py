@@ -1,18 +1,14 @@
 """Link-prediction and question-answering metrics, plus efficiency counters
-pulled from trajectory logs."""
+over trajectory records."""
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kb import normalize_label
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -110,27 +106,15 @@ def kbqa_hits_at_1(final_answers, gold) -> float:
     return score / len(final_answers)
 
 
-def efficiency_report(trajectory_log) -> dict:
-    """Average model calls and wall seconds per question from a JSONL
-    trajectory log. Corrupt records are skipped and counted."""
-    calls, seconds, skipped = [], [], 0
-    with open(trajectory_log, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                calls.append(float(record["llm_call_count"]))
-                seconds.append(float(record.get("wall_time_s", 0.0)))
-            except (ValueError, KeyError, TypeError):
-                skipped += 1
-    if skipped:
-        logger.warning("efficiency report skipped %d corrupt records", skipped)
-    if not calls:
-        raise ValueError(f"no usable trajectory records in {trajectory_log}")
+def efficiency_report(records) -> dict:
+    """Average model calls and wall seconds per question over trajectory
+    records, the dicts a trajectory log holds (``llm_call_count``,
+    ``wall_time_s``). Opens no file: the caller has read and checked them."""
+    records = list(records)
+    if not records:
+        raise ValueError("need at least one trajectory record")
     return {
-        "avg_llm_calls": sum(calls) / len(calls),
-        "avg_seconds": sum(seconds) / len(seconds),
-        "n_questions": len(calls),
-        "n_skipped": skipped,
+        "avg_llm_calls": sum(r["llm_call_count"] for r in records) / len(records),
+        "avg_seconds": sum(r["wall_time_s"] for r in records) / len(records),
+        "n_questions": len(records),
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .agent import SurfaceTriple, TemplateChat, Trajectory
+from .agent import SurfaceTriple, TemplateChat, Trajectory, parse_triple_lines
 from .kb import KnowledgeBase, Triple, normalize_label
 from .llm import LlmParams
 
@@ -121,23 +121,6 @@ def _keep_observation(triples, wrong: set[str], right: set[str]) -> bool:
     return not all(_mentions(t, wrong) for t in triples)
 
 
-def _parse_selected_triples(reply: str):
-    lines = reply.splitlines()
-    start = 0
-    for i, line in enumerate(lines):
-        if "related triples" in line.lower():
-            start = i
-            break
-    selected = []
-    for raw in lines[start:]:
-        line = raw.strip().strip('"').strip()
-        line = line.lstrip("0123456789.) ").strip()
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) == 3 and all(parts):
-            selected.append((parts[0], parts[1], parts[2]))
-    return selected
-
-
 def parse_reasoning_paths(
     trajectory: Trajectory, kb: KnowledgeBase, llm, params: LlmParams | None = None
 ) -> ReasoningPath:
@@ -217,8 +200,11 @@ def parse_reasoning_paths(
         (normalize_label(t.head), normalize_label(t.relation), normalize_label(t.tail)): t
         for t in candidates
     }
+    # the selection is the triple lines from the "Related triples" header on
+    lines = reply.splitlines()
+    start = next((i for i, line in enumerate(lines) if "related triples" in line.lower()), 0)
     selected: list[SurfaceTriple] = []
-    for h, r, t in _parse_selected_triples(reply):
+    for h, r, t in parse_triple_lines("\n".join(lines[start:]))[0]:
         match = by_key.get((normalize_label(h), normalize_label(r), normalize_label(t)))
         if match is not None and match not in selected:
             selected.append(match)

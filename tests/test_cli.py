@@ -211,6 +211,22 @@ class TestConfigSurface:
         assert f"Error: {key} must be" in result.output
         assert not (run_dir / "completer.npz").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", float("nan")), ("learning_rate", 0), ("learning_rate", float("inf")),
+        ("llm_max_tokens", 0), ("llm_temperature", -0.5), ("llm_temperature", float("nan")),
+        ("slm_temperature", -1), ("slm_temperature", float("inf")), ("r_samples", 0),
+        ("max_context", -1),
+    ])
+    def test_out_of_range_value_is_usage_error_at_load(self, workspace, key, value):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config_path.write_text(json.dumps(dict(config, **{key: value})), encoding="utf-8")
+        result = invoke("kb", "prepare", "--config", str(config_path),
+                        "--run-dir", str(tmp_path / "r"))
+        assert result.exit_code == 2, result.output
+        assert f"Error: {key} must be finite and" in result.output
+        assert not (tmp_path / "r").exists()
+
 
 # sha256 of each file `kb prepare` writes for the seeded input of
 # `pinned_inputs`, recorded when `Triple` was still a frozen dataclass
@@ -416,8 +432,12 @@ class TestAnswer:
 
     def test_run_dir_is_required(self, workspace):
         tmp_path, config_path = workspace
+        script = tmp_path / "script.jsonl"
+        script.write_text(json.dumps({"response": "Thought 1: t.\nAction 1: Finish[x]"}) + "\n",
+                          encoding="utf-8")
         result = CliRunner().invoke(
-            main, ["answer", "--config", str(config_path), "--question", "q?", "--scripted", "x"],
+            main, ["answer", "--config", str(config_path), "--question", "q?",
+                   "--scripted", str(script)],
         )
         assert result.exit_code == 2
         assert "--run-dir" in result.output
@@ -540,6 +560,52 @@ class RecordingBackend:
         return self.inner.chat(turns, params)
 
 
+QA_LINE = json.dumps({"question": "q?", "topic_entities": ["e0"], "answers": ["Entity 3"]})
+SCRIPT_LINE = json.dumps({"expect": "q?", "response": "Thought 1: t.\nAction 1: Finish[Entity 3]"})
+
+
+class TestMalformedInputs:
+    """A malformed input file ends the command with one error line naming
+    ``path:line`` or the key, never with a traceback."""
+
+    @pytest.mark.parametrize("qa_text, script_text, exit_code, named", [
+        (QA_LINE + "\n{not json\n", SCRIPT_LINE, 1, "qa.jsonl:2: not valid JSON"),
+        ('["q?", ["Entity 3"]]', SCRIPT_LINE, 1, "qa.jsonl:1: expected a JSON object"),
+        ('{"question": "q?", "answers": []}', SCRIPT_LINE, 1, "qa.jsonl:1: 'answers'"),
+        ('\n{"answers": ["Entity 3"]}', SCRIPT_LINE, 1, "qa.jsonl:2: 'question'"),
+        ('{"question": "q?", "answers": "Entity 3"}', SCRIPT_LINE, 1, "qa.jsonl:1: 'answers'"),
+        (None, SCRIPT_LINE, 2, "qa.jsonl' does not exist"),
+        (QA_LINE, '{"expect": "q?"}', 1, "script.jsonl:1: 'response'"),
+        (QA_LINE, None, 2, "script.jsonl' does not exist"),
+        (QA_LINE, '{"expect": "another question", "response": "x"}', 1, "scripted step 0"),
+    ], ids=["qa_not_json", "qa_not_object", "qa_empty_answers", "qa_no_question",
+            "qa_answers_not_list", "qa_missing", "script_no_response", "script_missing",
+            "script_mismatch"])
+    def test_eval_kbqa_input(self, workspace, qa_text, script_text, exit_code, named):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        qa, script = tmp_path / "qa.jsonl", tmp_path / "script.jsonl"
+        for path, text in ((qa, qa_text), (script, script_text)):
+            if text is not None:
+                path.write_text(text + "\n", encoding="utf-8")
+        result = invoke("eval-kbqa", "--config", str(config_path), "--run-dir", str(run_dir),
+                        "--qa", str(qa), "--scripted", str(script))
+        assert result.exit_code == exit_code, result.output
+        assert named in result.output.splitlines()[-1]
+        assert result.output.count("Error:") == 1
+
+    def test_non_finite_pretraining_loss(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config_path.write_text(json.dumps(dict(config, learning_rate=1e308)), encoding="utf-8")
+        result = invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("Error: non-finite loss on batch of size")
+        assert len(result.output.splitlines()) == 1
+
+
 class TestJointAndReport:
     def test_train_joint_scripted_and_report(self, workspace):
         tmp_path, config_path = workspace
@@ -559,6 +625,7 @@ class TestJointAndReport:
         result = invoke("report", "--run-dir", str(run_dir))
         assert result.exit_code == 0
         assert "avg_llm_calls" in result.output
+        assert "n_skipped" not in result.output
 
     def test_train_joint_requires_pretrain(self, workspace):
         tmp_path, config_path = workspace
@@ -645,6 +712,9 @@ class TestJointAndReport:
         report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
         assert report["hits_at_1"] == 1.0
         assert report["n_questions"] == 1
+        logged = json.loads((run_dir / "kbqa_trajectories.jsonl").read_text(encoding="utf-8"))
+        assert (report["avg_llm_calls"], report["avg_seconds"]) == \
+            (logged["llm_call_count"], logged["wall_time_s"])
 
     def test_report_empty_dir_is_usage_error(self, tmp_path):
         result = CliRunner().invoke(main, ["report", "--run-dir", str(tmp_path)])

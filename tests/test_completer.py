@@ -54,6 +54,14 @@ class TestInputSequence:
             build_input_sequence(bieber_kb, CompletionQuery("Q404", "P22"))
 
 
+def score_triple(model, t: Triple) -> float:
+    """Brute-force reference: the bilinear score of one triple, read straight
+    from the embedding rows."""
+    e, r = model.entity_ids.index, model.relation_ids.index
+    u = model.entity_vecs[e(t.head)] * model.relation_vecs[r(t.relation)]
+    return float(u @ model.entity_vecs[e(t.tail)])
+
+
 def toy_kb(n=10):
     triples = [(f"e{i}", "r", f"e{(i + 3) % n}") for i in range(n)]
     triples += [(f"e{i}", "s", f"e{(i + 5) % n}") for i in range(0, n, 2)]
@@ -142,7 +150,7 @@ class TestNativePredict:
         query = CompletionQuery("e1", "r")
         preds = model.predict(query, kb, len(kb.entities))
         scored = [
-            (model.score_triple(Triple("e1", "r", e)), e) for e in sorted(kb.entities)
+            (score_triple(model, Triple("e1", "r", e)), e) for e in sorted(kb.entities)
         ]
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         assert [p.entity for p in preds] == [e for _, e in scored]
@@ -166,13 +174,13 @@ class TestNativePredict:
 
     def test_score_is_repeatable(self, trained):
         kb, model = trained
-        t = Triple("e0", "r", "e3")
-        assert model.score_triple(t) == model.score_triple(t)
+        query = CompletionQuery("e0", "r")
+        assert np.array_equal(model.tail_scores(query, kb), model.tail_scores(query, kb))
 
     def test_unknown_entity(self, trained):
         kb, model = trained
         with pytest.raises(UnknownEntityError):
-            model.score_triple(Triple("nope", "r", "e1"))
+            model.predict(CompletionQuery("nope", "r"), kb, 1)
 
     def test_ties_ordered_by_id(self):
         # e10 and e9 tie at the top and every other tail but e0 ties at zero;
@@ -277,10 +285,10 @@ class TestIncrementalFinetune:
         kb, model = self.pretrained()
         new = Triple("e0", "s", "e9")
         assert new not in kb.triples
-        before = model.score_triple(new)
+        before = score_triple(model, new)
         memory = ReplayMemory(sorted(kb.triples), seed=0)
         model.incremental_finetune([new], memory, kb, TrainingConfig(finetune_passes=5))
-        assert model.score_triple(new) > before
+        assert score_triple(model, new) > before
 
     def test_unknown_entity_raises_before_any_update(self):
         kb, model = self.pretrained()

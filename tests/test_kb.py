@@ -14,6 +14,7 @@ from kbloop.kb import (
     UnknownRelationError,
     degrade,
     load_kb,
+    read_jsonl,
     split,
 )
 
@@ -103,6 +104,25 @@ class TestLoad:
             entities={"x1": ("Same Label", ""), "x2": ("Same Label", "")},
         )
         assert kb.lookup_label("same label") == ("x1", "x2")
+
+
+class TestReadJsonl:
+    def test_blank_lines_skipped_and_line_numbers_kept(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": [2]}\n', encoding="utf-8")
+        assert read_jsonl(path) == [(1, {"a": 1}), (4, {"b": [2]})]
+
+    @pytest.mark.parametrize("line, named", [
+        (b"{not json", "x.jsonl:2: not valid JSON"),
+        (b'"a string"', "x.jsonl:2: expected a JSON object"),
+        (b'{"a": 1} {"b": 2}', "x.jsonl:2: not valid JSON"),
+        (b'{"a": "\xff"}', "x.jsonl:2: not valid UTF-8"),
+    ])
+    def test_line_that_is_not_an_object_is_named(self, tmp_path, line, named):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+        with pytest.raises(KbLoadError, match=named):
+            read_jsonl(path)
 
 
 class TestEntityIndex:
@@ -285,6 +305,12 @@ class TestCooccurrence:
         kb = make_kb([("a", "r", "b"), ("b", "r", "c"), ("d", "r2", "e")])
         assert kb.cooccurrence_score("r", "r") == 3
         assert kb.cooccurrence_score("r", "r") == brute_force_cooccurrence(kb, "r", "r")
+
+    def test_incident_sets_are_built_on_first_use(self):
+        kb = make_kb([("a", "r", "b"), ("b", "s", "c")])
+        assert "_relation_entities" not in vars(kb)
+        assert kb.cooccurrence_score("r", "s") == 1
+        assert kb._relation_entities == {"r": {"a", "b"}, "s": {"b", "c"}}
 
     def test_symmetry_and_oracle_on_random_kbs(self):
         rng = random.Random(99)

@@ -283,3 +283,27 @@ class TestParseReasoningPaths:
         path = parse_reasoning_paths(trajectory, kb, backend)
         assert path.triples == [Triple("a", "r", "b")]
         assert any("outside candidates" in n for n in path.notes)
+
+    def test_digit_and_dot_led_labels_survive_selection(self):
+        kb = make_kb(
+            [("a", "w", "b"), ("b", "g", "d"), ("n", "v", "m")],
+            entities={"a": ("Orwell", ""), "b": ("1984", ""), "d": ("dystopian novel", ""),
+                      "n": (".NET Framework", ""), "m": ("Microsoft", "")},
+            relations={"w": ("wrote", "", ""), "g": ("genre", "", ""),
+                       "v": ("developer", "", "")},
+        )
+        trajectory = make_trajectory(
+            [("search", [st("Orwell", "wrote", "1984", "w"),
+                         st("1984", "genre", "dystopian novel", "g"),
+                         st(".NET Framework", "developer", "Microsoft", "v")])],
+            predicted=["1984"], verified=["1984"], topics=["a"],
+        )
+        backend = ScriptedBackend([("Known triples", (
+            "Related triples:\n"
+            "Orwell, wrote, 1984\n"
+            "1984, genre, dystopian novel\n"
+            "3. .NET Framework, developer, Microsoft"
+        ))])
+        path = parse_reasoning_paths(trajectory, kb, backend)
+        assert path.triples == [Triple("a", "w", "b"), Triple("b", "g", "d"), Triple("n", "v", "m")]
+        assert not any("outside candidates" in n for n in path.notes)
