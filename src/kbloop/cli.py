@@ -79,6 +79,12 @@ def _completer(cfg, run_dir, kb):
             f"completer checkpoint {checkpoint} does not match the KB's entities; "
             "run `kbloop pretrain` again"
         )
+    dtypes = {completer.entity_vecs.dtype.name, completer.relation_vecs.dtype.name}
+    if dtypes != {"float32"}:
+        raise click.UsageError(
+            f"completer checkpoint {checkpoint} holds {'/'.join(sorted(dtypes))} tables, "
+            "not float32; run `kbloop pretrain` again"
+        )
     return completer
 
 
@@ -94,8 +100,8 @@ class _Main(click.Group):
     """Reports a malformed input file or an unknown id, a run directory whose
     snapshot and question log disagree, an episode aborted by a transport
     failure, a scripted transcript that does not fit the run, and pretraining
-    whose loss turned non-finite as a one-line CLI error with exit code 1, for
-    every command."""
+    whose loss or weights turned non-finite as a one-line CLI error with exit
+    code 1, for every command."""
 
     def invoke(self, ctx):
         try:

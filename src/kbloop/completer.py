@@ -6,7 +6,8 @@ of a (head, relation) pair.
 
 * ``NativeCompleter`` — a bilinear model over entity and relation embeddings,
   score(h, r, t) = dot(e_h * w_r, e_t), trained with softmax cross-entropy
-  over all entities. Small, deterministic, CPU-only, fully in process.
+  over all entities. Small, deterministic, CPU-only, fully in process; its
+  tables, and every product computed from them, are float32.
 * ``RemoteCompleter`` — delegates to an external completion service (for
   example a text-generation model) over a JSON request/response channel and
   filters decoded texts through the KB label catalog, so predictions can
@@ -48,7 +49,7 @@ class ModelStateError(Exception):
 
 
 class TrainingError(Exception):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite weights."""
 
 
 class CompleterTransportError(Exception):
@@ -152,8 +153,11 @@ class NativeCompleter:
     """Bilinear embedding completer trained with softmax cross-entropy.
 
     Embeddings start uniform in [-1/sqrt(d), 1/sqrt(d)] and are updated with
-    plain SGD. All randomness flows through one generator seeded at
-    construction, so identical call sequences give bit-identical models.
+    plain SGD. The tables are float32: the uniforms are drawn in float64 and
+    cast, so the generator's stream does not depend on the precision. Every
+    step, score and snapshot stays float32. All randomness flows through one
+    generator seeded at construction, so identical call sequences give
+    bit-identical models.
     """
 
     def __init__(self, kb: KnowledgeBase, dim: int = 64, seed: int = 0):
@@ -164,8 +168,10 @@ class NativeCompleter:
         self._rel_index = {r: i for i, r in enumerate(self.relation_ids)}
         self._rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(dim)
-        self.entity_vecs = self._rng.uniform(-bound, bound, (len(self.entity_ids), dim))
-        self.relation_vecs = self._rng.uniform(-bound, bound, (len(self.relation_ids), dim))
+        self.entity_vecs, self.relation_vecs = (
+            self._rng.uniform(-bound, bound, (n, dim)).astype(np.float32)
+            for n in (len(self.entity_ids), len(self.relation_ids))
+        )
         self.trained = False
         self.loss_history: list[float] = []
 
@@ -191,6 +197,9 @@ class NativeCompleter:
             dtype=np.int64,
         )
 
+    # Overflow shows as a non-finite loss here or as non-finite weights in
+    # _run_passes, so numpy's warnings would only repeat it.
+    @np.errstate(over="ignore", invalid="ignore")
     def _step(self, batch: np.ndarray, lr: float) -> float:
         """One SGD step on softmax cross-entropy over all entities as tails.
 
@@ -232,6 +241,10 @@ class NativeCompleter:
                 batch = encoded[order[start:start + config.batch_size]]
                 epoch_losses.append(self._step(batch, config.learning_rate))
             losses.append(float(np.mean(epoch_losses)))
+        # float32 overflows sooner than float64, and the last update of a call
+        # is checked by no later loss
+        if not (np.isfinite(self.entity_vecs).all() and np.isfinite(self.relation_vecs).all()):
+            raise TrainingError(f"non-finite weights after training on {len(encoded)} triples")
         return losses
 
     def pretrain(self, train_triples, kb: KnowledgeBase, config: TrainingConfig | None = None) -> "NativeCompleter":

@@ -253,21 +253,42 @@ class KnowledgeBase:
 # file loading
 
 
+def _numbered_lines(path):
+    """``(line number, line)`` pairs of a UTF-8 text file, as ``enumerate``
+    gives them. A file that cannot be opened raises :class:`KbLoadError`
+    naming it, and a byte that is not UTF-8 one naming its line."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise KbLoadError(f"{path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            # rescanned only after the failure: the good path reads the file once
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise KbLoadError(f"{path}:{lineno}: not valid UTF-8") from None
+            raise KbLoadError(f"{path}: not valid UTF-8") from None
+
+
 def _read_rows(path, min_cols, max_cols, what):
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if not (min_cols <= len(parts) <= max_cols):
-                raise KbLoadError(
-                    f"{path}:{lineno}: malformed {what} line "
-                    f"(expected {min_cols}-{max_cols} tab-separated fields, got {len(parts)})"
-                )
-            parts += [""] * (max_cols - len(parts))
-            rows.append((lineno, parts))
+    for lineno, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if not (min_cols <= len(parts) <= max_cols):
+            raise KbLoadError(
+                f"{path}:{lineno}: malformed {what} line "
+                f"(expected {min_cols}-{max_cols} tab-separated fields, got {len(parts)})"
+            )
+        parts += [""] * (max_cols - len(parts))
+        rows.append((lineno, parts))
     return rows
 
 
@@ -276,28 +297,28 @@ def read_triples(path, entities=None, relations=None) -> list[Triple]:
 
     A line without exactly three fields raises :class:`KbLoadError` naming
     ``path:line``. Given the known ``entities`` and ``relations`` ids, so
-    does a line that references any other id.
+    does a line that references any other id. So does a line that is not
+    UTF-8, and a file that cannot be opened raises it naming ``path``.
     """
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            try:
-                h, r, t = fields
-            except ValueError:
-                raise KbLoadError(
-                    f"{path}:{lineno}: malformed triple line "
-                    f"(expected 3 tab-separated fields, got {len(fields)})"
-                ) from None
-            if entities is not None:
-                for eid in (h, t):
-                    if eid not in entities:
-                        raise KbLoadError(f"{path}:{lineno}: triple references unknown entity {eid!r}")
-                if r not in relations:
-                    raise KbLoadError(f"{path}:{lineno}: triple references unknown relation {r!r}")
-            triples.append(Triple(h, r, t))
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            h, r, t = fields
+        except ValueError:
+            raise KbLoadError(
+                f"{path}:{lineno}: malformed triple line "
+                f"(expected 3 tab-separated fields, got {len(fields)})"
+            ) from None
+        if entities is not None:
+            for eid in (h, t):
+                if eid not in entities:
+                    raise KbLoadError(f"{path}:{lineno}: triple references unknown entity {eid!r}")
+            if r not in relations:
+                raise KbLoadError(f"{path}:{lineno}: triple references unknown relation {r!r}")
+        triples.append(Triple(h, r, t))
     return triples
 
 
@@ -334,8 +355,9 @@ def read_kb(triples_path, entities_path, relations_path):
 
     Returns ``(entities, relations, triples)`` as lists in file order;
     repeated triples are kept. Empty entity ids, duplicate ids, empty labels, dangling
-    references and malformed lines raise :class:`KbLoadError` with the
-    offending line number.
+    references, malformed lines and bytes that are not UTF-8 raise
+    :class:`KbLoadError` with the offending line number; a file that cannot
+    be opened raises it naming the file.
     """
     entities = []
     seen_entities = set()

@@ -373,6 +373,27 @@ class TestPretrainAndEval:
         assert result.exit_code == 2
         assert "completer.npz" in result.output
 
+    def test_float64_checkpoint_is_usage_error(self, workspace):
+        """A snapshot written before the tables became float32 is refused."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        checkpoint = run_dir / "completer.npz"
+        with np.load(checkpoint, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        for name in ("entity_vecs", "relation_vecs"):
+            arrays[name] = arrays[name].astype(np.float64)
+        np.savez(checkpoint, **arrays)
+        result = CliRunner().invoke(
+            main, ["eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir)],
+        )
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if "Error" in line]
+        assert len(errors) == 1 and errors[0] == result.output.splitlines()[-1]
+        assert str(checkpoint) in errors[0]
+        assert "float64" in errors[0] and "`kbloop pretrain`" in errors[0]
+        assert not (run_dir / "report.json").exists()
+
 
 class TestAnswer:
     def test_scripted_answer_is_deterministic(self, workspace):
@@ -594,6 +615,24 @@ class TestMalformedInputs:
         assert result.exit_code == exit_code, result.output
         assert named in result.output.splitlines()[-1]
         assert result.output.count("Error:") == 1
+
+    @pytest.mark.parametrize("name, content, named", [
+        ("triples.tsv", None, "triples.tsv: No such file or directory"),
+        ("relations.tsv", None, "relations.tsv: No such file or directory"),
+        ("triples.tsv", b"e0\tr0\te3\ne1\tr0\te\xff4\n", "triples.tsv:2: not valid UTF-8"),
+        ("entities.tsv", b"e0\tEntity 0\n\ne1\tEnt\xc3ty 1\n", "entities.tsv:3: not valid UTF-8"),
+    ], ids=["triples_missing", "relations_missing", "triples_not_utf8", "entities_not_utf8"])
+    def test_kb_prepare_input(self, workspace, name, content, named):
+        tmp_path, config_path = workspace
+        path = tmp_path / name
+        path.unlink()
+        if content is not None:
+            path.write_bytes(content)
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "run")],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines() == [f"Error: {path.parent}/{named}"]
 
     def test_non_finite_pretraining_loss(self, workspace):
         tmp_path, config_path = workspace

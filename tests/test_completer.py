@@ -3,6 +3,7 @@ scoring, replay fine-tuning, and the remote wire contract."""
 
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -17,6 +18,7 @@ from kbloop.completer import (
     RemoteCompleter,
     ReplayMemory,
     TrainingConfig,
+    TrainingError,
     build_input_sequence,
 )
 from kbloop.kb import Triple, UnknownEntityError
@@ -117,6 +119,22 @@ class TestNativeTraining:
             assert model._step(batch, 0.3) == loss
             assert np.array_equal(model.entity_vecs, ent)
             assert np.array_equal(model.relation_vecs, rel)
+        assert model.entity_vecs.dtype == model.relation_vecs.dtype == np.float32
+
+    @pytest.mark.parametrize("batch_size, message", [
+        (64, "non-finite weights after training on 15 triples"),
+        (4, "non-finite loss on batch of size 4"),
+    ], ids=["last_update", "next_loss"])
+    def test_overflow_is_a_training_error_without_warnings(self, batch_size, message):
+        # at lr 1e308 the first update overflows float32; with one batch per
+        # epoch no later loss sees it, so only the weight check can
+        kb = toy_kb()
+        config = TrainingConfig(epochs=1, batch_size=batch_size, learning_rate=1e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match=message):
+                NativeCompleter(kb, dim=8, seed=0).pretrain(sorted(kb.triples), kb, config)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_fit_capacity_single_fact(self):
         # the only r-triple is (a, r, b); a fitted model must put b first
@@ -154,8 +172,11 @@ class TestNativePredict:
         ]
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         assert [p.entity for p in preds] == [e for _, e in scored]
+        # the matvec and the 1-D dot sum their dim float32 products in
+        # different orders, rounding once per term
+        rel = model.dim * np.finfo(np.float32).eps
         for p, (s, _) in zip(preds, scored):
-            assert p.score == pytest.approx(s, abs=1e-12)
+            assert p.score == pytest.approx(s, rel=rel)
 
     def test_full_k_is_permutation(self, trained):
         kb, model = trained

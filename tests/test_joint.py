@@ -10,6 +10,7 @@ from kbloop.completer import (
     CompletionQuery,
     NativeCompleter,
     RemoteCompleter,
+    ReplayMemory,
     TrainingConfig,
     TrainingError,
 )
@@ -230,6 +231,42 @@ class TestPersistence:
         assert len(result.records) == 1  # only the second question ran
         assert log.completed_questions() == 2
         assert log.paths_path.exists()
+
+    def test_tables_and_scores_stay_float32(self, tmp_path):
+        kb = chain_kb()
+        config = TrainingConfig(epochs=5, seed=0, finetune_passes=2)
+        query = CompletionQuery("e0", "r")
+
+        def assert_float32(model):
+            assert model.entity_vecs.dtype == model.relation_vecs.dtype == np.float32
+            if model.trained:
+                assert model.tail_scores(query, kb).dtype == np.float32
+
+        model = NativeCompleter(kb, dim=8, seed=0)
+        assert_float32(model)
+        model.pretrain(sorted(kb.triples), kb, config)
+        assert_float32(model)
+        run_dir = tmp_path / "run"
+        log = RunLog(run_dir)
+        log.restart(model)
+        base = log.checkpoint_path.read_bytes()  # includes no log line
+        qa = [QaExample("q one?", ("e0",), ("E5",))]
+        result = run_joint_training(
+            run_dir, kb, qa, model, ScriptedBackend(generate_episode_script("E0", "E5")),
+            train_config=config,
+        )
+        assert result.records[0].finetuned
+        assert_float32(model)
+        assert_float32(NativeCompleter.load(log.checkpoint_path))
+
+        log.checkpoint_path.write_bytes(base)
+        memory = ReplayMemory(sorted(kb.triples), seed=config.seed)
+        replayed = log.replay(
+            NativeCompleter.load(log.checkpoint_path), memory,
+            lambda m, triples: m.incremental_finetune(triples, memory, kb=kb, config=config),
+        )
+        assert_float32(replayed)
+        assert np.array_equal(replayed.entity_vecs, model.entity_vecs)
 
     def test_stateless_completer_logs_without_a_snapshot(self, tmp_path):
         """A remote completer's service owns its weights: the run logs every
