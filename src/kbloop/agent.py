@@ -190,17 +190,17 @@ class TemplateChat:
     """Routes every model call through the template catalog.
 
     Records each call's template name, which is both the audit trail and the
-    call count, and enforces the hard call ceiling when one is set.
+    call count, and enforces the hard ceiling of ``max_calls`` calls.
     """
 
-    def __init__(self, backend, params: LlmParams | None = None, max_calls: int | None = None):
+    def __init__(self, backend, params: LlmParams | None = None, *, max_calls: int):
         self.backend = backend
         self.params = params or LlmParams()
         self.max_calls = max_calls
         self.template_calls: list[str] = []
 
     def __call__(self, template_name: str, bindings: dict) -> str:
-        if self.max_calls is not None and len(self.template_calls) >= self.max_calls:
+        if len(self.template_calls) >= self.max_calls:
             raise BudgetExhausted(f"call budget of {self.max_calls} exhausted")
         prompt = render(get_template(template_name), bindings)
         self.template_calls.append(template_name)

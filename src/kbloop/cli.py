@@ -16,7 +16,8 @@ from . import config as config_mod
 from . import joint as joint_mod
 from . import kb as kb_mod
 from . import metrics as metrics_mod
-from .completer import CompletionQuery, NativeCompleter, RemoteCompleter, TrainingError
+from .completer import (CompletionQuery, NativeCompleter, RemoteCompleter, Snapshot,
+                        SnapshotError, TrainingError)
 from .llm import LiveBackend, ScriptedBackend, ScriptMismatchError
 
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
@@ -61,8 +62,8 @@ def _backend(cfg, scripted):
 
 
 def _completer(cfg, run_dir, kb):
-    """The configured remote completer, or the native snapshot that
-    ``pretrain`` wrote in ``run_dir``."""
+    """The configured remote completer, or the :class:`Snapshot` that
+    ``pretrain`` wrote in ``run_dir``, read and checked for ``kb``."""
     if cfg.completer_endpoint:
         return RemoteCompleter(
             cfg.completer_endpoint,
@@ -70,22 +71,13 @@ def _completer(cfg, run_dir, kb):
             temperature=cfg.slm_temperature,
             max_context=cfg.max_context,
         )
-    checkpoint = Path(run_dir) / "completer.npz"
-    if not checkpoint.exists():
-        raise click.UsageError(f"no completer checkpoint in {run_dir}; run `kbloop pretrain` first")
-    completer = NativeCompleter.load(checkpoint)
-    if completer.entity_ids != list(kb.entity_index):
-        raise click.UsageError(
-            f"completer checkpoint {checkpoint} does not match the KB's entities; "
-            "run `kbloop pretrain` again"
-        )
-    dtypes = {completer.entity_vecs.dtype.name, completer.relation_vecs.dtype.name}
-    if dtypes != {"float32"}:
-        raise click.UsageError(
-            f"completer checkpoint {checkpoint} holds {'/'.join(sorted(dtypes))} tables, "
-            "not float32; run `kbloop pretrain` again"
-        )
-    return completer
+    return NativeCompleter.load(Path(run_dir) / "completer.npz", kb)
+
+
+def _model(cfg, run_dir, kb):
+    """The completer of :func:`_completer`, without a snapshot's joint-loop state."""
+    completer = _completer(cfg, run_dir, kb)
+    return completer.completer if isinstance(completer, Snapshot) else completer
 
 
 def _emit_report(run_dir, payload: dict) -> None:
@@ -101,11 +93,14 @@ class _Main(click.Group):
     snapshot and question log disagree, an episode aborted by a transport
     failure, a scripted transcript that does not fit the run, and pretraining
     whose loss or weights turned non-finite as a one-line CLI error with exit
-    code 1, for every command."""
+    code 1, for every command; a completer snapshot that cannot be used, as a
+    usage error (exit code 2)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except SnapshotError as exc:
+            raise click.UsageError(str(exc)) from exc
         except (kb_mod.KbError, joint_mod.RunLogError, agent_mod.EpisodeAborted,
                 ScriptMismatchError, TrainingError) as exc:
             raise click.ClickException(str(exc)) from exc
@@ -227,18 +222,17 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
     except ValueError:
         raise click.UsageError(f"bad --k list: {ks!r}")
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir, working_kb)
-    queries = kb_mod.read_triples(
-        Path(run_dir) / f"{split_name}.tsv", working_kb.entities, working_kb.relations
-    )
-    if limit:
-        queries = queries[:limit]
+    completer = _model(cfg, run_dir, working_kb)
+    split = kb_mod.read_triples(Path(run_dir) / f"{split_name}.tsv", working_kb.entities,
+                                working_kb.relations)
+    queries = split[:limit] if limit else split
     # known-true tails of the queried (h, r) pairs only; unknown tails are ignored
     known_tails = {}
     if filtered:
         known_tails = {(q.head, q.relation): set() for q in queries}
-        for name in ("train.tsv", "valid.tsv", "test.tsv"):
-            for h, r, t in kb_mod.read_triples(Path(run_dir) / name):
+        for name in ("train", "valid", "test"):
+            triples = split if name == split_name else kb_mod.read_triples(Path(run_dir) / f"{name}.tsv")
+            for h, r, t in triples:
                 if (h, r) in known_tails:
                     known_tails[h, r].add(t)
 
@@ -265,7 +259,7 @@ def answer(config_path, run_dir, question, topic, scripted):
     """Answer one question with the agent loop."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir, working_kb)
+    completer = _model(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
     topics = [t.strip() for t in topic.split(",") if t.strip()]
     trajectory = agent_mod.run_episode(
@@ -288,7 +282,7 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
     """Run inference episodes over a QA set and report Hits@1 + efficiency."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
-    completer = _completer(cfg, run_dir, working_kb)
+    completer = _model(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
     examples = joint_mod.load_qa_examples(qa_path)
 

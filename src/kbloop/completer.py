@@ -24,7 +24,9 @@ import json
 import logging
 import math
 import random
+import zipfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +56,10 @@ class TrainingError(Exception):
 
 class CompleterTransportError(Exception):
     """The remote completion service could not be reached or answered badly."""
+
+
+class SnapshotError(Exception):
+    """A completer snapshot is missing, damaged, out of date or from another KB."""
 
 
 @dataclass(frozen=True)
@@ -321,14 +327,11 @@ class NativeCompleter:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path, **extra) -> None:
-        """Write the model to ``path`` atomically, with no pickled object.
-
-        Ids and the RNG state are unicode string arrays. ``extra`` names
-        further string or integer values stored beside the model (the joint
-        loop keeps its log position and replay RNG there); :meth:`load`
-        ignores them.
-        """
+    def save(self, path, log_lines: int = 0, replay_rng_state: str = "") -> None:
+        """Write the model and the joint loop's state beside it (see
+        :class:`Snapshot`; the defaults are a run's start) to ``path``
+        atomically, with no pickled object. Ids and both RNG states are
+        unicode string arrays."""
         arrays = {
             "entity_ids": np.array(self.entity_ids, dtype=str),
             "relation_ids": np.array(self.relation_ids, dtype=str),
@@ -336,27 +339,61 @@ class NativeCompleter:
             "relation_vecs": self.relation_vecs,
             "trained": np.array([self.trained]),
             "rng_state": np.array(json.dumps(self._rng.bit_generator.state, default=int)),
+            "log_lines": np.array(log_lines),
+            "replay_rng_state": np.array(replay_rng_state),
         }
-        arrays.update((name, np.array(value)) for name, value in extra.items())
         write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
     @classmethod
-    def load(cls, path) -> "NativeCompleter":
-        with np.load(path, allow_pickle=False) as data:
-            model = cls.__new__(cls)
-            model.entity_ids = data["entity_ids"].tolist()
-            model.relation_ids = data["relation_ids"].tolist()
-            model.entity_vecs = data["entity_vecs"]
-            model.relation_vecs = data["relation_vecs"]
-            model.trained = bool(data["trained"][0])
-            rng_state = json.loads(str(data["rng_state"]))
+    def load(cls, path, kb: KnowledgeBase) -> "Snapshot":
+        """Read back what :meth:`save` wrote, checked for use with ``kb``. A
+        snapshot that is missing, damaged, older (lacking a key) or fails a
+        check raises :class:`SnapshotError` naming ``path``."""
+        def refuse(problem):
+            return SnapshotError(f"completer checkpoint {path} {problem}; run `kbloop pretrain` again")
+
+        model = cls.__new__(cls)
+        try:
+            # np.load leaks a file it opened itself when the archive is damaged
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+                model.entity_ids = data["entity_ids"].tolist()
+                model.relation_ids = data["relation_ids"].tolist()
+                model.entity_vecs = data["entity_vecs"]
+                model.relation_vecs = data["relation_vecs"]
+                model.trained = bool(data["trained"][0])
+                rng_state = json.loads(str(data["rng_state"]))
+                log_lines = int(data["log_lines"])
+                replay = str(data["replay_rng_state"])
+            model._rng = np.random.default_rng()
+            model._rng.bit_generator.state = rng_state
+            ReplayMemory(()).set_state(replay)  # raises for a state that does not restore
+        except FileNotFoundError:
+            raise SnapshotError(f"no completer checkpoint {path}; run `kbloop pretrain` first") from None
+        except (OSError, EOFError, zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise refuse(f"cannot be read ({exc!r})") from exc
+        dtypes = {model.entity_vecs.dtype.name, model.relation_vecs.dtype.name}
+        if dtypes != {"float32"}:
+            raise refuse(f"holds {'/'.join(sorted(dtypes))} tables, not float32")
+        if model.entity_ids != list(kb.entity_index):
+            raise refuse("does not match the KB's entities")
+        dim = model.entity_vecs.shape[1:2]  # () for a table that is not 2-D
+        if (not dim or model.entity_vecs.shape != (len(model.entity_ids), *dim)
+                or model.relation_vecs.shape != (len(model.relation_ids), *dim)):
+            raise refuse("holds tables whose rows do not match its ids")
+        model.dim = dim[0]
         model._ent_index = {e: i for i, e in enumerate(model.entity_ids)}
         model._rel_index = {r: i for i, r in enumerate(model.relation_ids)}
-        model.dim = model.entity_vecs.shape[1]
         model.loss_history = []
-        model._rng = np.random.default_rng()
-        model._rng.bit_generator.state = rng_state
-        return model
+        return Snapshot(model, log_lines, replay)
+
+
+class Snapshot(NamedTuple):
+    """A native completer and the joint loop's state saved beside it: the
+    question-log lines it includes and the replay RNG state (empty: seeded)."""
+
+    completer: NativeCompleter
+    log_lines: int = 0
+    replay_rng_state: str = ""
 
 
 def _http_transport(endpoint: str, timeout: float):

@@ -16,10 +16,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .agent import AgentConfig, EpisodeAborted, run_episode
-from .completer import CompleterTransportError, ReplayMemory, TrainingConfig, TrainingError
+from .completer import (CompleterTransportError, NativeCompleter, ReplayMemory, Snapshot,
+                        TrainingConfig, TrainingError)
 from .durable import append_line, write_atomic
 from .kb import KbLoadError, KnowledgeBase, Triple, read_jsonl
 from .llm import LlmParams, LlmTransportError
@@ -90,7 +89,7 @@ class RunLog:
     * ``completer.npz`` is a snapshot of a native completer, written by
       ``pretrain`` and at the end of each joint run, never per question. It
       also stores ``log_lines``, how many log lines it already includes, and
-      the replay memory's RNG state.
+      the replay memory's RNG state (see :class:`Snapshot`).
     * ``paths.jsonl`` is a view of the log's paths, rewritten from the log
       at the end of each joint run.
 
@@ -119,36 +118,20 @@ class RunLog:
             os.truncate(self.trajectories_path, end)
         return [record for _, record in read_jsonl(self.trajectories_path)]
 
-    def completed_questions(self) -> int:
-        return len(self.entries())
-
-    def next_position(self) -> int:
-        """The sweep position after the log's last line, where a resumed
-        sweep continues; 0 for an empty log."""
-        entries = self.entries()
-        if not entries:
-            return 0
-        if "position" not in entries[-1]:
-            raise RunLogError(
-                f"{self.trajectories_path} records no sweep positions; run `kbloop pretrain` again"
-            )
-        return entries[-1]["position"] + 1
-
-    def append(self, record: JointRecord) -> None:
+    def append(self, record: JointRecord) -> dict:
+        """Append ``record``'s line to the log; returns the line's entry."""
         entry = record.trajectory.to_dict(include_timing=True)
         entry["error"] = record.error
         entry["finetuned"] = record.finetuned
         entry["position"] = record.position
         entry["path"] = record.path.to_dict() if record.path is not None else None
         append_line(self.trajectories_path, json.dumps(entry, ensure_ascii=False, sort_keys=True))
+        return entry
 
-    def save_checkpoint(self, completer, memory: ReplayMemory) -> None:
-        """Snapshot ``completer`` and ``memory`` as including the whole log."""
-        completer.save(
-            self.checkpoint_path,
-            log_lines=self.completed_questions(),
-            replay_rng_state=memory.get_state(),
-        )
+    def save_checkpoint(self, completer, memory: ReplayMemory, log_lines: int) -> None:
+        """Snapshot ``completer`` and ``memory`` as including ``log_lines``
+        lines of the log."""
+        completer.save(self.checkpoint_path, log_lines=log_lines, replay_rng_state=memory.get_state())
 
     def restart(self, completer) -> None:
         """Begin the run's history at a newly pretrained ``completer``: the
@@ -159,30 +142,27 @@ class RunLog:
         if hasattr(completer, "save"):
             completer.save(self.checkpoint_path)
 
-    def replay(self, completer, memory: ReplayMemory, finetune):
-        """Bring ``completer``, the snapshot's model, and ``memory`` to the end
-        of the log: restore the snapshot's replay RNG state, then
-        ``finetune(completer, triples)`` for each line after the snapshot
-        that was fine-tuned on."""
-        with np.load(self.checkpoint_path, allow_pickle=False) as data:
-            start = int(data["log_lines"]) if "log_lines" in data.files else 0
-            memory.set_state(str(data["replay_rng_state"]) if "replay_rng_state" in data.files else "")
-        entries = self.entries()
-        if start > len(entries):
+    def replay(self, snapshot: Snapshot, memory: ReplayMemory, finetune, entries):
+        """Bring the ``snapshot``'s completer and ``memory`` to the end of the
+        log's ``entries``: restore the snapshot's replay RNG state, then
+        ``finetune(completer, triples)`` for each entry after the snapshot
+        that was fine-tuned on. Returns the completer."""
+        if snapshot.log_lines > len(entries):
             raise RunLogError(
-                f"{self.checkpoint_path} includes {start} question log lines, but "
+                f"{self.checkpoint_path} includes {snapshot.log_lines} question log lines, but "
                 f"{self.trajectories_path} has {len(entries)}; run `kbloop pretrain` again"
             )
-        for entry in entries[start:]:
+        memory.set_state(snapshot.replay_rng_state)
+        for entry in entries[snapshot.log_lines:]:
             if entry["finetuned"]:
-                finetune(completer, [Triple(*t) for t in entry["path"]["triples"]])
-        return completer
+                finetune(snapshot.completer, [Triple(*t) for t in entry["path"]["triples"]])
+        return snapshot.completer
 
-    def write_paths(self) -> None:
-        """Rewrite the paths view from the log."""
+    def write_paths(self, entries) -> None:
+        """Rewrite the paths view from the log's ``entries``."""
         lines = "".join(
             json.dumps(entry["path"], ensure_ascii=False, sort_keys=True) + "\n"
-            for entry in self.entries() if entry["path"] is not None
+            for entry in entries if entry["path"] is not None
         )
         write_atomic(self.paths_path, lambda fh: fh.write(lines.encode("utf-8")))
 
@@ -202,25 +182,27 @@ def run_joint_training(
     """Run the loop over ``qa_train`` in input order, persisted in ``run_dir``;
     see :class:`RunLog`.
 
-    A native ``completer`` is the model of the snapshot that ``pretrain`` or
-    :meth:`RunLog.restart` wrote in ``run_dir``. The run first replays the log
-    lines after the snapshot, so it continues from the end of the log. With
-    ``resume`` it continues the log's current sweep: it skips the questions of
-    ``qa_train`` up to the position of the log's last line, not those of
-    earlier sweeps. A remote completer's service owns its training state, so
-    for it the log only tells where the sweep continues.
+    ``completer`` is a remote completer, or the :class:`Snapshot` of a native
+    one that ``pretrain`` or :meth:`RunLog.restart` wrote in ``run_dir``, as
+    :meth:`NativeCompleter.load` reads it. The log is read once. The run
+    first replays the log lines after the snapshot, so it continues from the
+    end of the log. With ``resume`` it continues the log's current sweep: it
+    skips the questions of ``qa_train`` up to the position of the log's last
+    line, not those of earlier sweeps. A remote completer's service owns its
+    training state, so for it the log only tells where the sweep continues.
 
     A fine-tune adds ``train_config.replay_samples_per_triple`` replay triples
     per path triple, sampled from ``kb.triples``, the pretraining set. Every
     chat call, the episode's and ``path_select``'s alike, runs with
-    ``params``. A transport failure, of any chat call or of the completer's
-    ``predict`` or fine-tune, skips the question: it is logged with its error,
-    and the loop continues. So does a native fine-tune whose loss turns
-    non-finite: the completer and the replay memory are rolled back to before
-    that fine-tune by reloading the snapshot and replaying the log. Each
-    question's line is appended to the log before the next question starts.
-    After a rollback the caller's completer object is stale; the result holds
-    the current one.
+    ``params`` and counts against the question's ceiling,
+    ``agent_config.call_budget``. A transport failure, of any chat call or of
+    the completer's ``predict`` or fine-tune, skips the question: it is
+    logged with its error, and the loop continues. So does a native
+    fine-tune whose loss turns non-finite: the completer and the replay
+    memory are rolled back to before that fine-tune by re-reading the
+    snapshot, with its checks, and replaying the log. Each question's line is
+    appended to the log before the next question starts. After a rollback
+    the caller's completer object is stale; the result holds the current one.
     """
     log = RunLog(run_dir)
     agent_config = agent_config or AgentConfig()
@@ -230,11 +212,17 @@ def run_joint_training(
     def finetune(model, triples):
         model.incremental_finetune(triples, memory, kb=kb, config=train_config)
 
-    native = hasattr(completer, "save")
+    native = isinstance(completer, Snapshot)
+    entries = log.entries()  # drops a torn last line before any append
     if native:
-        completer = log.replay(completer, memory, finetune)
-    log.entries()  # drops a torn last line before any append
-    start = log.next_position() if resume else 0
+        completer = log.replay(completer, memory, finetune, entries)
+    start = 0
+    if resume and entries:  # after the position of the log's last line
+        if "position" not in entries[-1]:
+            raise RunLogError(
+                f"{log.trajectories_path} records no sweep positions; run `kbloop pretrain` again"
+            )
+        start = entries[-1]["position"] + 1
     if resume:
         logger.info("resuming the sweep at question %d", start)
         qa_train = list(qa_train)[start:]
@@ -255,7 +243,7 @@ def run_joint_training(
                 params=params,
             )
             if example.topic_entities:  # fallback-answered questions yield no path
-                path = parse_reasoning_paths(trajectory, kb, llm, params)
+                path = parse_reasoning_paths(trajectory, kb, llm, params, agent_config)
             if path and path.triples:
                 finetune(completer, path.triples)
                 finetuned = True
@@ -268,18 +256,18 @@ def run_joint_training(
                 raise
             error = str(exc)
             completer = result.completer = log.replay(
-                type(completer).load(log.checkpoint_path), memory, finetune
+                NativeCompleter.load(log.checkpoint_path, kb), memory, finetune, entries
             )
         if error:
             logger.warning("question %d skipped: %s", position, error)
         record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error,
                              position=position)
         result.records.append(record)
-        log.append(record)
+        entries.append(log.append(record))
 
     if native:
-        log.save_checkpoint(result.completer, memory)
-    log.write_paths()
+        log.save_checkpoint(result.completer, memory, len(entries))
+    log.write_paths(entries)
     logger.info(
         "joint training over %d questions in %.1fs",
         len(result.records), time.perf_counter() - started,

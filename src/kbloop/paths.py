@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .agent import SurfaceTriple, TemplateChat, Trajectory, parse_triple_lines
+from .agent import AgentConfig, SurfaceTriple, TemplateChat, Trajectory, parse_triple_lines
 from .kb import KnowledgeBase, Triple, normalize_label
 from .llm import LlmParams
 
@@ -122,13 +122,16 @@ def _keep_observation(triples, wrong: set[str], right: set[str]) -> bool:
 
 
 def parse_reasoning_paths(
-    trajectory: Trajectory, kb: KnowledgeBase, llm, params: LlmParams | None = None
+    trajectory: Trajectory, kb: KnowledgeBase, llm, params: LlmParams | None = None,
+    config: AgentConfig | None = None,
 ) -> ReasoningPath:
     """Extract the question's reasoning path from a train-mode trajectory,
     with one ``path_select`` call to the chat backend ``llm`` at ``params``.
+    The call counts against the question's ceiling, ``config.call_budget``.
 
     Returns an empty path (and skips the fine-tune) when no answer was
-    verified or no witness connects a topic entity to a verified answer.
+    verified, no witness connects a topic entity to a verified answer, or
+    the episode left no call for ``path_select``.
     A selected triple is dropped, with a note, when its relation is unlinked
     or a surface at either end names no KB entity; a label shared by several
     entities resolves to the first id.
@@ -186,7 +189,11 @@ def parse_reasoning_paths(
         if t not in candidates:
             candidates.append(t)
 
-    chat = TemplateChat(llm, params)
+    calls_left = (config or AgentConfig()).call_budget - trajectory.llm_call_count
+    if calls_left < 1:
+        path.notes.append("call budget exhausted before path_select; empty path")
+        return path
+    chat = TemplateChat(llm, params, max_calls=calls_left)
     reply = chat(
         "path_select",
         {

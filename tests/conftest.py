@@ -1,10 +1,12 @@
-"""Shared builders and fixtures: tiny hand-built knowledge bases and a
-canned completer for scripted episodes."""
+"""Shared builders and fixtures: tiny hand-built knowledge bases, a canned
+completer for scripted episodes, and loopback HTTP servers."""
 
 from __future__ import annotations
 
 import json
 import random
+import threading
+from http.server import HTTPServer
 
 import pytest
 
@@ -57,6 +59,28 @@ class CannedCompleter:
     def predict(self, query, kb, k):
         preds = self.table.get((query.h, query.r), [])
         return [RankedPrediction(e, s) for e, s in preds[:k] if s != float("-inf")]
+
+
+@pytest.fixture()
+def loopback():
+    """``loopback(handler, server_class=HTTPServer)`` starts a server for
+    ``handler`` on a free 127.0.0.1 port, serving from a thread, and returns
+    it. After the test every server it started is shut down, its thread
+    joined and its socket closed."""
+    started = []
+
+    def start(handler, server_class=HTTPServer):
+        server = server_class(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        thread.join()
+        server.server_close()
 
 
 WOODROW_ENTITIES = {

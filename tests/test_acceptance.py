@@ -21,6 +21,7 @@ from kbloop.completer import (
     NativeCompleter,
     RemoteCompleter,
     ReplayMemory,
+    Snapshot,
     TrainingConfig,
 )
 from kbloop.joint import QaExample, RunLog, run_joint_training
@@ -439,7 +440,7 @@ def test_joint_loop_over_degraded_kb(tmp_path):
 
     steps, qa = _inject_script(working, injected)
     result = run_joint_training(
-        tmp_path, working, qa, model, ScriptedBackend(steps),
+        tmp_path, working, qa, Snapshot(model), ScriptedBackend(steps),
         train_config=config,
     )
 

@@ -524,7 +524,7 @@ class TestCotFallback:
 
     def test_parse_multiple_answers(self):
         backend = ScriptedBackend([("", "Answer: Paris | London")])
-        assert cot_fallback("q?", TemplateChat(backend)) == ["Paris", "London"]
+        assert cot_fallback("q?", TemplateChat(backend, max_calls=1)) == ["Paris", "London"]
 
     def test_nonempty_topics_never_fallback(self, woodrow_kb):
         backend = ScriptedBackend(

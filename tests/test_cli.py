@@ -13,6 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from kbloop import cli
+from kbloop import joint as joint_mod
+from kbloop import kb as kb_mod
 from kbloop.cli import main
 from kbloop.config import RunConfig, load_config
 from kbloop.llm import LlmParams, LlmTransportError, ScriptedBackend
@@ -310,6 +312,25 @@ class TestPretrainAndEval:
             outputs.append((run_dir / "report.json").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("split", ["test", "valid"])
+    def test_filtered_eval_reads_each_split_once(self, workspace, monkeypatch, split):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        reads = []
+        read_triples = kb_mod.read_triples
+
+        def counting(path, *args):
+            reads.append(Path(path).name)
+            return read_triples(path, *args)
+
+        monkeypatch.setattr(kb_mod, "read_triples", counting)
+        result = invoke("eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir),
+                        "--split", split, "--filtered", "--limit", "2")
+        assert result.exit_code == 0, result.output
+        assert sorted(reads) == ["test.tsv", "train.tsv", "valid.tsv", "working_triples.tsv"]
+        assert json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["n_queries"] == 2
+
     def test_eval_kbc_requires_checkpoint(self, workspace):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
@@ -585,6 +606,23 @@ QA_LINE = json.dumps({"question": "q?", "topic_entities": ["e0"], "answers": ["E
 SCRIPT_LINE = json.dumps({"expect": "q?", "response": "Thought 1: t.\nAction 1: Finish[Entity 3]"})
 
 
+def _rewrite_snapshot(checkpoint, edit):
+    with np.load(checkpoint, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    edit(arrays)
+    np.savez(checkpoint, **arrays)
+
+
+SNAPSHOT_DAMAGE = {
+    "cut_short": lambda c: c.write_bytes(c.read_bytes()[: c.stat().st_size // 2]),
+    "no_log_lines": lambda c: _rewrite_snapshot(c, lambda a: a.pop("log_lines", None)),
+    "replay_rng_state_not_json": lambda c: _rewrite_snapshot(
+        c, lambda a: a.update(replay_rng_state=np.array("[3, [1, 2"))),
+    "rows_do_not_match_ids": lambda c: _rewrite_snapshot(
+        c, lambda a: a.update(entity_vecs=a["entity_vecs"][:-1])),
+}
+
+
 class TestMalformedInputs:
     """A malformed input file ends the command with one error line naming
     ``path:line`` or the key, never with a traceback."""
@@ -643,6 +681,28 @@ class TestMalformedInputs:
         assert result.exit_code == 1, result.output
         assert result.output.startswith("Error: non-finite loss on batch of size")
         assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval-kbc", "train-joint"])
+    @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
+    def test_damaged_snapshot(self, workspace, damage, command):
+        """A snapshot that is cut short, lacks a key, holds a replay RNG state
+        that does not parse, or has a row count that does not match its ids
+        is refused in one line naming it, with exit code 2."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        checkpoint = run_dir / "completer.npz"
+        SNAPSHOT_DAMAGE[damage](checkpoint)
+        qa, script = write_joint_inputs(tmp_path)
+        extra = ["--qa", str(qa), "--scripted", str(script)] if command == "train-joint" else []
+        result = invoke(command, *cfg, *extra)
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if "Error" in line]
+        assert len(errors) == 1 and errors[0] == result.output.splitlines()[-1]
+        assert str(checkpoint) in errors[0] and "`kbloop pretrain`" in errors[0]
+        assert not (run_dir / "report.json").exists()
+        assert not (run_dir / "trajectories.jsonl").exists()
 
 
 class TestJointAndReport:
@@ -708,6 +768,25 @@ class TestJointAndReport:
         )
         assert result.exit_code == 1
         assert "run `kbloop pretrain` again" in result.output
+
+    def test_resumed_run_parses_its_log_once(self, workspace, monkeypatch):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa, script = write_joint_inputs(tmp_path)
+        invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        parsed = []
+        read_jsonl = joint_mod.read_jsonl
+
+        def counting(path):
+            parsed.append(Path(path).name)
+            return read_jsonl(path)
+
+        monkeypatch.setattr(joint_mod, "read_jsonl", counting)
+        result = invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script), "--resume")
+        assert result.exit_code == 0, result.output
+        assert parsed.count("trajectories.jsonl") == 1
 
     def test_train_joint_uses_configured_llm_params(self, workspace, monkeypatch):
         tmp_path, config_path = workspace

@@ -2,9 +2,8 @@
 scoring, replay fine-tuning, and the remote wire contract."""
 
 import json
-import threading
 import warnings
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
@@ -339,7 +338,7 @@ class TestCheckpoint:
         model.pretrain(sorted(kb.triples), kb, TrainingConfig(epochs=5, seed=2))
         path = tmp_path / "model.npz"
         model.save(path)
-        loaded = NativeCompleter.load(path)
+        loaded = NativeCompleter.load(path, kb).completer
         assert np.array_equal(loaded.entity_vecs, model.entity_vecs)
         assert loaded.entity_ids == model.entity_ids
         assert loaded.trained
@@ -353,13 +352,17 @@ class TestCheckpoint:
         model = NativeCompleter(kb, dim=8, seed=2)
         model.pretrain(sorted(kb.triples), kb, TrainingConfig(epochs=2, seed=2))
         path = tmp_path / "model.npz"
-        model.save(path, log_lines=3, replay_rng_state="{}")
+        memory = ReplayMemory(sorted(kb.triples), seed=5)
+        memory.sample(2)
+        model.save(path, log_lines=3, replay_rng_state=memory.get_state())
         with np.load(path, allow_pickle=False) as data:
             assert data["entity_ids"].dtype.kind == "U"
             assert data["relation_ids"].dtype.kind == "U"
             assert data["rng_state"].dtype.kind == "U"
+            assert data["replay_rng_state"].dtype.kind == "U"
             assert int(data["log_lines"]) == 3
-        loaded = NativeCompleter.load(path)
+        loaded, log_lines, replay_rng_state = NativeCompleter.load(path, kb)
+        assert (log_lines, replay_rng_state) == (3, memory.get_state())
         assert loaded.entity_ids == model.entity_ids
         assert loaded.relation_ids == model.relation_ids
         assert loaded._rng.random() == model._rng.random()
@@ -485,18 +488,12 @@ class _CompletionHandler(BaseHTTPRequestHandler):
 
 
 class TestRemoteOverHttp:
-    def test_loopback_roundtrip(self, bieber_kb):
+    def test_loopback_roundtrip(self, bieber_kb, loopback):
         _CompletionHandler.samples = [{"text": "Jeremy Bieber", "logprob": -0.4}]
-        server = HTTPServer(("127.0.0.1", 0), _CompletionHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            remote = RemoteCompleter(f"http://127.0.0.1:{server.server_port}", r_samples=5)
-            preds = remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 2)
-            assert [p.entity for p in preds] == ["Q16004214"]
-        finally:
-            server.shutdown()
-            thread.join()
+        server = loopback(_CompletionHandler)
+        remote = RemoteCompleter(f"http://127.0.0.1:{server.server_port}", r_samples=5)
+        preds = remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 2)
+        assert [p.entity for p in preds] == ["Q16004214"]
 
     def test_unreachable_endpoint(self, bieber_kb, monkeypatch):
         sleeps = []
@@ -507,25 +504,20 @@ class TestRemoteOverHttp:
         assert sleeps == [0.5, 1.0]
 
     @pytest.mark.parametrize("status, attempts", [(503, 3), (429, 3), (400, 1)])
-    def test_retries_transient_statuses_only(self, bieber_kb, monkeypatch, status, attempts):
+    def test_retries_transient_statuses_only(self, bieber_kb, monkeypatch, loopback, status,
+                                             attempts):
         monkeypatch.setattr(llm.time, "sleep", lambda s: None)
         _FlakyCompletionHandler.fail_first = 2
         _FlakyCompletionHandler.status = status
         _FlakyCompletionHandler.seen = 0
-        server = HTTPServer(("127.0.0.1", 0), _FlakyCompletionHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            remote = RemoteCompleter(f"http://127.0.0.1:{server.server_port}", r_samples=5)
-            query = CompletionQuery("Q34086", "P22")
-            if status == 400:
-                with pytest.raises(CompleterTransportError, match="status 400"):
-                    remote.predict(query, bieber_kb, 2)
-            else:
-                assert [p.entity for p in remote.predict(query, bieber_kb, 2)] == ["Q16004214"]
-        finally:
-            server.shutdown()
-            thread.join()
+        server = loopback(_FlakyCompletionHandler)
+        remote = RemoteCompleter(f"http://127.0.0.1:{server.server_port}", r_samples=5)
+        query = CompletionQuery("Q34086", "P22")
+        if status == 400:
+            with pytest.raises(CompleterTransportError, match="status 400"):
+                remote.predict(query, bieber_kb, 2)
+        else:
+            assert [p.entity for p in remote.predict(query, bieber_kb, 2)] == ["Q16004214"]
         assert _FlakyCompletionHandler.seen == attempts
 
     def test_file_endpoint_is_rejected(self, bieber_kb, tmp_path):

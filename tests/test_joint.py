@@ -11,6 +11,8 @@ from kbloop.completer import (
     NativeCompleter,
     RemoteCompleter,
     ReplayMemory,
+    Snapshot,
+    SnapshotError,
     TrainingConfig,
     TrainingError,
 )
@@ -77,7 +79,7 @@ class TestTrainJoint:
     def test_two_questions_two_finetunes(self, tmp_path):
         kb, model, config, pretrain, backend, qa = self.setup_run(tmp_path)
         result = run_joint_training(
-            tmp_path, kb, qa, model, backend,
+            tmp_path, kb, qa, Snapshot(model), backend,
             train_config=config,
         )
         assert len(result.records) == 2
@@ -88,7 +90,7 @@ class TestTrainJoint:
         kb, model, config, pretrain, backend, qa = self.setup_run(tmp_path)
         before = rank_of(model, kb, "e0", "r", "e5")
         run_joint_training(
-            tmp_path, kb, qa, model, backend, train_config=config
+            tmp_path, kb, qa, Snapshot(model), backend, train_config=config
         )
         after = rank_of(model, kb, "e0", "r", "e5")
         assert after < before
@@ -99,7 +101,7 @@ class TestTrainJoint:
             run_dir = tmp_path / str(i)
             kb, model, config, pretrain, backend, qa = self.setup_run(run_dir)
             result = run_joint_training(
-                run_dir, kb, qa, model, backend, train_config=config
+                run_dir, kb, qa, Snapshot(model), backend, train_config=config
             )
             runs.append(result.completer.entity_vecs.copy())
         assert np.array_equal(runs[0], runs[1])
@@ -113,7 +115,7 @@ class TestTrainJoint:
         backend = ScriptedBackend([("", "Thought 1: hm.\nAction 1: Finish[E9]")])
         before = model.entity_vecs.copy()
         result = run_joint_training(
-            tmp_path, kb, [QaExample("q?", ("e0",), ("E5",))], model, backend,
+            tmp_path, kb, [QaExample("q?", ("e0",), ("E5",))], Snapshot(model), backend,
             train_config=config,
         )
         assert not result.records[0].finetuned
@@ -125,12 +127,33 @@ class TestTrainJoint:
         model = pretrained(tmp_path, kb, pretrain, 16, TrainingConfig(epochs=5, seed=0))
         backend = ScriptedBackend([("", "Answer: E5")])
         result = run_joint_training(
-            tmp_path, kb, [QaExample("q?", (), ("E5",))], model, backend,
+            tmp_path, kb, [QaExample("q?", (), ("E5",))], Snapshot(model), backend,
             train_config=TrainingConfig(epochs=5, seed=0),
         )
         record = result.records[0]
         assert record.trajectory.stop_reason == "cot"
         assert record.path is None and not record.finetuned
+
+    def test_path_select_runs_inside_the_call_ceiling(self, tmp_path):
+        """An episode that spends all 20 calls and then finishes verified
+        leaves none for path_select: no path, no fine-tune, no error."""
+        kb = chain_kb()
+        config = TrainingConfig(epochs=5, seed=0)
+        model = pretrained(tmp_path, kb, sorted(kb.triples), 16, config)
+        episode = generate_episode_script("E0", "E5")
+        no_action = [("", "Thought: still thinking.")] * 16  # steps 2-9, two calls each
+        backend = CrashingBackend(episode[:3] + no_action + [episode[3]] + episode[4:])  # counts calls
+        result = run_joint_training(
+            tmp_path, kb, [QaExample("q one?", ("e0",), ("E5",))], Snapshot(model), backend,
+            train_config=config,
+        )
+        record = result.records[0]
+        assert record.trajectory.llm_call_count == 20
+        assert record.trajectory.verified_answers == ["E5"]
+        assert backend.calls == 20
+        assert not record.error and not record.finetuned
+        assert record.path.triples == []
+        assert record.path.notes == ["call budget exhausted before path_select; empty path"]
 
     @pytest.mark.parametrize(
         "failing_call, failing_method, script",
@@ -185,7 +208,7 @@ class TestTrainJoint:
             tmp_path,
             kb,
             [QaExample("q one?", ("e0",), ("E5",)), QaExample("q two?", ("e1",), ("E7",))],
-            FlakyCompleter(),
+            Snapshot(FlakyCompleter()),
             FlakyBackend(),
             train_config=TrainingConfig(epochs=5, seed=0, finetune_passes=2),
         )
@@ -216,20 +239,20 @@ class TestPersistence:
 
         backend = ScriptedBackend(generate_episode_script("E0", "E5"))
         run_joint_training(
-            run_dir, kb, qa[:1], model, backend,
+            run_dir, kb, qa[:1], Snapshot(model), backend,
             train_config=config,
         )
         log = RunLog(run_dir)
-        assert log.completed_questions() == 1
+        assert len(log.entries()) == 1
         assert log.checkpoint_path.exists()
 
         backend = ScriptedBackend(generate_episode_script("E1", "E7"))
         result = run_joint_training(
-            run_dir, kb, qa, model, backend, resume=True,
+            run_dir, kb, qa, NativeCompleter.load(log.checkpoint_path, kb), backend, resume=True,
             train_config=config,
         )
         assert len(result.records) == 1  # only the second question ran
-        assert log.completed_questions() == 2
+        assert len(log.entries()) == 2
         assert log.paths_path.exists()
 
     def test_tables_and_scores_stay_float32(self, tmp_path):
@@ -252,18 +275,19 @@ class TestPersistence:
         base = log.checkpoint_path.read_bytes()  # includes no log line
         qa = [QaExample("q one?", ("e0",), ("E5",))]
         result = run_joint_training(
-            run_dir, kb, qa, model, ScriptedBackend(generate_episode_script("E0", "E5")),
+            run_dir, kb, qa, Snapshot(model), ScriptedBackend(generate_episode_script("E0", "E5")),
             train_config=config,
         )
         assert result.records[0].finetuned
         assert_float32(model)
-        assert_float32(NativeCompleter.load(log.checkpoint_path))
+        assert_float32(NativeCompleter.load(log.checkpoint_path, kb).completer)
 
         log.checkpoint_path.write_bytes(base)
         memory = ReplayMemory(sorted(kb.triples), seed=config.seed)
         replayed = log.replay(
-            NativeCompleter.load(log.checkpoint_path), memory,
+            NativeCompleter.load(log.checkpoint_path, kb), memory,
             lambda m, triples: m.incremental_finetune(triples, memory, kb=kb, config=config),
+            log.entries(),
         )
         assert_float32(replayed)
         assert np.array_equal(replayed.entity_vecs, model.entity_vecs)
@@ -353,18 +377,19 @@ class TestWriteAheadLog:
 
     def run(self, run_dir, qa, script, crash_at=None, resume=False):
         kb, pretrain, config = self.setup
-        model = NativeCompleter.load(run_dir / "completer.npz")
+        snapshot = NativeCompleter.load(run_dir / "completer.npz", kb)
         return run_joint_training(
-            run_dir, kb, qa, model, CrashingBackend(script, crash_at), resume=resume,
+            run_dir, kb, qa, snapshot, CrashingBackend(script, crash_at), resume=resume,
             train_config=config,
         )
 
     def outcome(self, run_dir):
         """Everything a run leaves that must repeat, timing aside."""
-        model = NativeCompleter.load(run_dir / "completer.npz")
+        model = NativeCompleter.load(run_dir / "completer.npz", self.setup[0]).completer
         with np.load(run_dir / "completer.npz", allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-        lines = [json.loads(line) for line in (run_dir / "trajectories.jsonl").open(encoding="utf-8")]
+        lines = [json.loads(line) for line in
+                 (run_dir / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()]
         for line in lines:
             line.pop("wall_time_s")
         return model, arrays, lines, (run_dir / "paths.jsonl").read_bytes()
@@ -397,7 +422,7 @@ class TestWriteAheadLog:
         qa, scripts = self.sweep()
         with pytest.raises(Crash):  # killed as question k starts
             self.run(run_dir, qa, sum(scripts, []), crash_at=k * self.CALLS + 1)
-        assert RunLog(run_dir).completed_questions() == k
+        assert len(RunLog(run_dir).entries()) == k
         self.run(run_dir, qa, sum(scripts[k:], []), resume=True)
         self.assert_same(self.outcome(run_dir), reference)
 
@@ -441,7 +466,7 @@ class TestWriteAheadLog:
             with pytest.raises(Crash):
                 self.run(run_dir, qa, sum(scripts, []))
         assert (run_dir / "completer.npz").read_bytes() == before  # nothing written per question
-        assert RunLog(run_dir).completed_questions() == self.N
+        assert len(RunLog(run_dir).entries()) == self.N
         result = self.run(run_dir, qa, [], resume=True)  # replays the log, asks nothing
         assert result.records == []
         self.assert_same(self.outcome(run_dir), reference)
@@ -506,6 +531,18 @@ class TestWriteAheadLog:
         for name in ("entity_vecs", "relation_vecs", "rng_state", "replay_rng_state"):
             assert np.array_equal(got_arrays[name], want_arrays[name]), name
         self.assert_same(runs["resumed"], runs["whole"])
+
+    def test_rollback_rereads_the_snapshot_with_its_checks(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        self.start(run_dir)
+        kb, pretrain, config = self.setup
+        snapshot = NativeCompleter.load(run_dir / "completer.npz", kb)
+        NativeCompleter(chain_kb(41), dim=8, seed=0).save(run_dir / "completer.npz")  # another KB's
+        self.diverge_at(monkeypatch, 0)
+        qa, scripts = self.sweep()
+        with pytest.raises(SnapshotError, match="does not match the KB's entities"):
+            run_joint_training(run_dir, kb, qa, snapshot, ScriptedBackend(sum(scripts, [])),
+                               train_config=config)
 
     def test_snapshot_ahead_of_the_log_is_an_error(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -5,9 +5,8 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -97,15 +96,11 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def chat_server():
+def chat_server(loopback):
     _ChatHandler.fail_first = 0
     _ChatHandler.seen_payloads = []
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-    thread.join()
+    server = loopback(_ChatHandler)
+    return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
 
 
 class TestLiveBackend:
@@ -180,7 +175,7 @@ class _ReplyPlanHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def plan_server():
+def plan_server(loopback):
     """A threaded loopback server over ``_ReplyPlanHandler``, so a slow
     reply does not hold up the next attempt."""
     _ReplyPlanHandler.plan = []
@@ -188,13 +183,8 @@ def plan_server():
     _ReplyPlanHandler.redirect_to = ""
     _ReplyPlanHandler.seen = 0
     _ReplyPlanHandler.authorizations = []
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ReplyPlanHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-    thread.join()
-    server.server_close()
+    server = loopback(_ReplyPlanHandler, ThreadingHTTPServer)
+    return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
 
 
 class TestTransportContract:
@@ -262,7 +252,7 @@ class TestTransportContract:
         with pytest.raises(ValueError, match="http:// or https://"):
             self.backend(url).chat(turns("ping"))
 
-    def test_http_proxy_from_the_environment_is_used(self):
+    def test_http_proxy_from_the_environment_is_used(self, loopback):
         """In a fresh interpreter, so the proxy settings are read from this
         environment: the request goes to the proxy, which answers for a
         target nothing listens on."""
@@ -281,9 +271,7 @@ class TestTransportContract:
             def log_message(self, *args):
                 pass
 
-        proxy = HTTPServer(("127.0.0.1", 0), ProxyHandler)
-        thread = threading.Thread(target=proxy.serve_forever, daemon=True)
-        thread.start()
+        proxy = loopback(ProxyHandler)
         target = "http://127.0.0.1:9/v1/chat/completions"
         env = {k: v for k, v in os.environ.items() if k.lower() not in ("no_proxy", "http_proxy")}
         env["http_proxy"] = f"http://127.0.0.1:{proxy.server_port}"
@@ -293,13 +281,8 @@ class TestTransportContract:
             f"print(LiveBackend({target!r}, 'm', max_attempts=1, timeout=10)"
             ".chat([ChatTurn('user', 'ping')]))\n"
         )
-        try:
-            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, timeout=60)
-        finally:
-            proxy.shutdown()
-            thread.join()
-            proxy.server_close()
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "pong"
         assert ProxyHandler.targets == [target]
