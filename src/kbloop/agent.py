@@ -289,7 +289,7 @@ def _pick_relations(reply: str, available, kb, limit: int) -> list[str]:
     return chosen
 
 
-def exec_search(surfaces, thought, trajectory, kb, llm, config: AgentConfig) -> Observation:
+def exec_search(surfaces, thought, kb, llm, config: AgentConfig) -> Observation:
     """Resolve each surface, let the model pick relations, return the
     one-hop triples along them."""
     obs = Observation(triples=[])
@@ -332,7 +332,7 @@ def _link_surface_triple(kb, h, r, t) -> SurfaceTriple:
     return SurfaceTriple(h, kb.relation_label(rid), t, relation_id=rid)
 
 
-def exec_generate(sub_question, thought, trajectory, kb, llm, mode, gold_answers, config: AgentConfig) -> Observation:
+def exec_generate(sub_question, trajectory, kb, llm, mode, gold_answers, config: AgentConfig) -> Observation:
     """Generate new triples for a sub-question, then correct them against
     relation descriptions and schemas. Two model calls."""
     prior = trajectory.observation_triples()
@@ -389,10 +389,7 @@ def exec_complete(entity_surface, relation_surface, kb, completer, config: Agent
     except RelationLinkError:
         obs.notes.append(f"relation not linkable: {relation_surface}")
         return obs
-    predictions = completer.predict(CompletionQuery(eid, rid), kb, config.complete_top_k)
-    for p in predictions:
-        if p.score == float("-inf"):
-            continue
+    for p in completer.predict(CompletionQuery(eid, rid), kb, config.complete_top_k):
         obs.triples.append(
             SurfaceTriple(kb.label_of(eid), kb.relation_label(rid), kb.label_of(p.entity), relation_id=rid)
         )
@@ -525,10 +522,10 @@ def run_episode(
                 trajectory.stop_reason = "finish"
                 break
             if action.kind == "search":
-                observation = exec_search(action.payload, thought, trajectory, kb, chat, config)
+                observation = exec_search(action.payload, thought, kb, chat, config)
             elif action.kind == "generate":
                 observation = exec_generate(
-                    action.payload[0], thought, trajectory, kb, chat, mode, gold_answers, config
+                    action.payload[0], trajectory, kb, chat, mode, gold_answers, config
                 )
             else:
                 observation = exec_complete(action.payload[0], action.payload[1], kb, completer, config)

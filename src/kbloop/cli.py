@@ -22,6 +22,8 @@ from .llm import LiveBackend, ScriptedBackend, ScriptMismatchError
 
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
+logger = logging.getLogger(__name__)
+
 
 def _load_run_config(config_path, **overrides) -> config_mod.RunConfig:
     try:
@@ -279,7 +281,9 @@ def answer(config_path, run_dir, question, topic, scripted):
 @click.option("--qa", "qa_path", type=_INPUT_FILE, required=True)
 @click.option("--scripted", type=_INPUT_FILE, default=None)
 def eval_kbqa(config_path, run_dir, qa_path, scripted):
-    """Run inference episodes over a QA set and report Hits@1 + efficiency."""
+    """Run inference episodes over a QA set and report Hits@1 + efficiency.
+    A question aborted by a transport failure is logged with its error and
+    counted as a miss, and the next question runs."""
     cfg = _load_run_config(config_path)
     working_kb = _working_kb(run_dir)
     completer = _model(cfg, run_dir, working_kb)
@@ -287,14 +291,21 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
     examples = joint_mod.load_qa_examples(qa_path)
 
     # the efficiency averages come from the two numbers of each written record
-    final_answers, gold, costs = [], [], []
+    final_answers, gold, costs, n_failed = [], [], [], 0
     with open(Path(run_dir) / "kbqa_trajectories.jsonl", "w", encoding="utf-8") as fh:
-        for ex in examples:
-            trajectory = agent_mod.run_episode(
-                ex.question, list(ex.topic_entities), working_kb, completer, backend,
-                config=cfg.agent, params=cfg.llm_params(),
-            )
+        for position, ex in enumerate(examples):
+            error = ""
+            try:
+                trajectory = agent_mod.run_episode(
+                    ex.question, list(ex.topic_entities), working_kb, completer, backend,
+                    config=cfg.agent, params=cfg.llm_params(),
+                )
+            except agent_mod.EpisodeAborted as exc:  # its trajectory has no final answer
+                trajectory, error = exc.trajectory, str(exc)
+                n_failed += 1
+                logger.warning("question %d failed: %s", position, error)
             record = trajectory.to_dict(include_timing=True)
+            record["error"] = error
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
             costs.append({k: record[k] for k in ("llm_call_count", "wall_time_s")})
             final_answers.append(trajectory.final_answers)
@@ -305,6 +316,7 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
         avg_llm_calls=efficiency["avg_llm_calls"],
         avg_seconds=efficiency["avg_seconds"],
         n_questions=efficiency["n_questions"],
+        n_failed=n_failed,
     )
     _emit_report(run_dir, result.to_dict())
 

@@ -1,8 +1,9 @@
 """Trainable triple completer behind a uniform interface.
 
-Two realizations share the same surface (pretrain / predict / tail_scores /
-incremental_finetune), and both answer one kind of query: the missing tail
-of a (head, relation) pair.
+Two realizations share one contract, ``tail_scores`` / ``pretrain`` /
+``incremental_finetune``, and both answer one kind of query: the missing
+tail of a (head, relation) pair. Their ``predict`` is :func:`top_k` over
+their own ``tail_scores``.
 
 * ``NativeCompleter`` — a bilinear model over entity and relation embeddings,
   score(h, r, t) = dot(e_h * w_r, e_t), trained with softmax cross-entropy
@@ -13,9 +14,9 @@ of a (head, relation) pair.
   filters decoded texts through the KB label catalog, so predictions can
   never name an entity the KB does not know.
 
-Incremental fine-tuning mixes the new triples with a uniform sample from the
-replay memory (the original training pool) to keep earlier knowledge from
-washing out.
+Incremental fine-tuning mixes the new triples with replay triples, a uniform
+sample of the original training pool that the joint loop draws from its
+:class:`ReplayMemory`, to keep earlier knowledge from washing out.
 """
 
 from __future__ import annotations
@@ -127,6 +128,27 @@ class ReplayMemory:
         self._rng.setstate((version, tuple(internal), gauss_next))
 
 
+def top_k(scores: np.ndarray, entity_ids, k: int) -> list[RankedPrediction]:
+    """The top-k rule of every completer: the candidates that score at least
+    the k-th best, by descending score, ties in ``entity_ids`` order (the
+    KB's ascending id order, which is the order of ``scores``), at most
+    ``k``. Minus infinity, an entity a remote completer never decoded, is
+    never a candidate."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    neg = -scores
+    k = min(k, len(neg))
+    candidates = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    candidates = candidates[neg[candidates] != math.inf]
+    order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+    return [RankedPrediction(entity_ids[i], float(scores[i])) for i in order]
+
+
+def _label_rows(kb: KnowledgeBase, triples) -> list[list[str]]:
+    """Triples as ``[label, relation label, label]`` rows, the remote wire form."""
+    return [[kb.label_of(h), kb.relation_label(r), kb.label_of(t)] for h, r, t in triples]
+
+
 def render_context_triple(kb: KnowledgeBase, t: Triple) -> str:
     return (
         f"⟨ {kb.label_of(t.head)} | {kb.relation_label(t.relation)}"
@@ -170,7 +192,7 @@ class NativeCompleter:
         self.dim = dim
         self.entity_ids: list[EntityId] = list(kb.entity_index)
         self.relation_ids: list[RelationId] = sorted(kb.relations)
-        self._ent_index = {e: i for i, e in enumerate(self.entity_ids)}
+        self._ent_index = kb.entity_index
         self._rel_index = {r: i for i, r in enumerate(self.relation_ids)}
         self._rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(dim)
@@ -267,63 +289,38 @@ class NativeCompleter:
         )
         return self
 
-    def incremental_finetune(
-        self,
-        path_triples,
-        memory: ReplayMemory,
-        kb: KnowledgeBase | None = None,
-        config: TrainingConfig | None = None,
-    ) -> "NativeCompleter":
-        """Fine-tune on new triples mixed with a replay sample.
+    def incremental_finetune(self, path_triples, replay, kb: KnowledgeBase,
+                             config: TrainingConfig) -> "NativeCompleter":
+        """Fine-tune on new triples mixed with the ``replay`` triples:
+        ``config.finetune_passes`` minibatch sweeps over the combined sample.
 
-        Draws ``config.replay_samples_per_triple`` replay triples per new
-        triple, then runs ``config.finetune_passes`` minibatch sweeps over the
-        combined sample.
-        Empty input is a no-op and leaves the model bit-identical. The
-        vocabulary is fixed at construction: a triple naming an entity or
-        relation outside it raises :class:`UnknownEntityError` or
-        :class:`UnknownRelationError` before any weight moves.
+        An empty ``path_triples`` is a no-op and leaves the model and its RNG
+        bit-identical. The vocabulary is fixed at construction: a triple
+        naming an entity or relation outside it raises
+        :class:`UnknownEntityError` or :class:`UnknownRelationError` before
+        any weight moves.
         """
         path_triples = list(path_triples)
         if not path_triples:
             return self
         if not self.trained:
             raise ModelStateError("incremental fine-tuning requires a pretrained model")
-        config = config or TrainingConfig()
-        replay = memory.sample(len(path_triples) * config.replay_samples_per_triple)
-        combined = self._encode(path_triples + replay)
+        combined = self._encode(path_triples + list(replay))
         self._run_passes(combined, config, config.finetune_passes)
         return self
 
     # -- inference ----------------------------------------------------------
 
-    def _require_trained(self):
-        if not self.trained:
-            raise ModelStateError("model has not been trained")
-
     def tail_scores(self, query: CompletionQuery, kb: KnowledgeBase) -> np.ndarray:
         """Score of every entity as the tail of the query, in ``entity_ids`` order."""
-        self._require_trained()
+        if not self.trained:
+            raise ModelStateError("model has not been trained")
         u = self.entity_vecs[self._eidx(query.h)] * self.relation_vecs[self._ridx(query.r)]
         return self.entity_vecs @ u
 
     def predict(self, query: CompletionQuery, kb: KnowledgeBase, k: int) -> list[RankedPrediction]:
-        """Top-k tail candidates, descending score, ties by id ascending (rows
-        are in id order, so the stable sort keeps ties in id order).
-
-        Only the candidates scoring at least the k-th best are sorted; they
-        come out in id order, so ties at the k boundary keep the lowest ids,
-        as a full stable sort would. At k >= |E| every entity is a candidate.
-        """
-        self._require_trained()
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        scores = self.tail_scores(query, kb)
-        neg = -scores
-        k = min(k, len(neg))
-        candidates = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-        order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
-        return [RankedPrediction(self.entity_ids[i], float(scores[i])) for i in order]
+        """The :func:`top_k` tail candidates."""
+        return top_k(self.tail_scores(query, kb), self.entity_ids, k)
 
     # -- persistence --------------------------------------------------------
 
@@ -381,7 +378,7 @@ class NativeCompleter:
                 or model.relation_vecs.shape != (len(model.relation_ids), *dim)):
             raise refuse("holds tables whose rows do not match its ids")
         model.dim = dim[0]
-        model._ent_index = {e: i for i, e in enumerate(model.entity_ids)}
+        model._ent_index = kb.entity_index
         model._rel_index = {r: i for i, r in enumerate(model.relation_ids)}
         model.loss_history = []
         return Snapshot(model, log_lines, replay)
@@ -471,46 +468,22 @@ class RemoteCompleter:
         return scores
 
     def predict(self, query: CompletionQuery, kb: KnowledgeBase, k: int) -> list[RankedPrediction]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        best = self._decode(query, kb)
-        ranked = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
-        return [RankedPrediction(eid, score) for eid, score in ranked[:k]]
+        """The :func:`top_k` tail candidates, decoded ones only."""
+        return top_k(self.tail_scores(query, kb), list(kb.entity_index), k)
 
     def pretrain(self, train_triples, kb: KnowledgeBase, config: TrainingConfig | None = None) -> "RemoteCompleter":
-        payload = {
-            "triples": [
-                [kb.label_of(t.head), kb.relation_label(t.relation), kb.label_of(t.tail)]
-                for t in sorted(set(train_triples))
-            ]
-        }
-        reply = self._post("pretrain", payload)
+        reply = self._post("pretrain", {"triples": _label_rows(kb, sorted(set(train_triples)))})
         if reply.get("status") != "completed":
             raise CompleterTransportError(f"pretraining did not complete: {reply!r}")
         return self
 
-    def incremental_finetune(
-        self,
-        path_triples,
-        memory: ReplayMemory,
-        kb: KnowledgeBase | None = None,
-        config: TrainingConfig | None = None,
-    ) -> "RemoteCompleter":
+    def incremental_finetune(self, path_triples, replay, kb: KnowledgeBase,
+                             config: TrainingConfig) -> "RemoteCompleter":
         path_triples = list(path_triples)
         if not path_triples:
             return self
-        if kb is None:
-            raise ValueError("remote fine-tuning needs the KB for label rendering")
-        config = config or TrainingConfig()
-        replay = memory.sample(len(path_triples) * config.replay_samples_per_triple)
-
-        def rows(triples):
-            return [
-                [kb.label_of(t.head), kb.relation_label(t.relation), kb.label_of(t.tail)]
-                for t in triples
-            ]
-
-        reply = self._post("finetune", {"triples": rows(path_triples), "replay": rows(replay)})
+        reply = self._post("finetune", {"triples": _label_rows(kb, path_triples),
+                                        "replay": _label_rows(kb, replay)})
         if reply.get("status") != "completed":
             raise CompleterTransportError(f"fine-tuning did not complete: {reply!r}")
         return self

@@ -20,7 +20,7 @@ from .agent import AgentConfig, EpisodeAborted, run_episode
 from .completer import (CompleterTransportError, NativeCompleter, ReplayMemory, Snapshot,
                         TrainingConfig, TrainingError)
 from .durable import append_line, write_atomic
-from .kb import KbLoadError, KnowledgeBase, Triple, read_jsonl
+from .kb import KbLoadError, KnowledgeBase, Triple, parse_jsonl, read_jsonl
 from .llm import LlmParams, LlmTransportError
 from .paths import ReasoningPath, parse_reasoning_paths
 
@@ -105,9 +105,11 @@ class RunLog:
         self.paths_path = self.run_dir / "paths.jsonl"
         self.checkpoint_path = self.run_dir / "completer.npz"
 
-    def entries(self) -> list[dict]:
-        """The log's lines, parsed. A torn last line, one a crash cut short
-        before its newline, is cut off the file: that question never ran."""
+    def entries(self, writer: bool = False) -> list[dict]:
+        """The log's lines, parsed from one read. A torn last line, one a
+        crash cut short (or a live run is appending), is dropped: that
+        question never ran. Only the ``writer``, the run that appends next,
+        also cuts it off the file."""
         try:
             data = self.trajectories_path.read_bytes()
         except FileNotFoundError:
@@ -115,8 +117,9 @@ class RunLog:
         end = data.rfind(b"\n") + 1
         if end < len(data):
             logger.warning("dropping the torn last line of %s", self.trajectories_path)
-            os.truncate(self.trajectories_path, end)
-        return [record for _, record in read_jsonl(self.trajectories_path)]
+            if writer:
+                os.truncate(self.trajectories_path, end)
+        return [record for _, record in parse_jsonl(data[:end].split(b"\n"), self.trajectories_path)]
 
     def append(self, record: JointRecord) -> dict:
         """Append ``record``'s line to the log; returns the line's entry."""
@@ -209,11 +212,12 @@ def run_joint_training(
     train_config = train_config or TrainingConfig()
     memory = ReplayMemory(kb.triples, seed=train_config.seed)
 
-    def finetune(model, triples):
-        model.incremental_finetune(triples, memory, kb=kb, config=train_config)
+    def finetune(model, triples):  # the one replay draw, the log replay's fine-tunes included
+        replay = memory.sample(len(triples) * train_config.replay_samples_per_triple)
+        model.incremental_finetune(triples, replay, kb, train_config)
 
     native = isinstance(completer, Snapshot)
-    entries = log.entries()  # drops a torn last line before any append
+    entries = log.entries(writer=True)  # cuts a torn last line before any append
     if native:
         completer = log.replay(completer, memory, finetune, entries)
     start = 0

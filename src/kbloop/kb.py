@@ -329,20 +329,26 @@ def read_jsonl(path) -> list[tuple[int, dict]]:
     A line that is not a JSON object raises :class:`KbLoadError` naming
     ``path:line``; the caller checks the object's keys.
     """
+    with open(path, "rb") as fh:
+        return parse_jsonl(fh, path)
+
+
+def parse_jsonl(lines, path) -> list[tuple[int, dict]]:
+    """:func:`read_jsonl`'s rules over ``lines``, the byte lines of ``path``
+    already read."""
     records = []
-    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 is named by line too
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise KbLoadError(f"{path}:{lineno}: not valid UTF-8") from None
-            except json.JSONDecodeError as exc:
-                raise KbLoadError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise KbLoadError(f"{path}:{lineno}: expected a JSON object")
-            records.append((lineno, record))
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:  # decoded per line, so bad UTF-8 is named by line too
+            record = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise KbLoadError(f"{path}:{lineno}: not valid UTF-8") from None
+        except json.JSONDecodeError as exc:
+            raise KbLoadError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise KbLoadError(f"{path}:{lineno}: expected a JSON object")
+        records.append((lineno, record))
     return records
 
 

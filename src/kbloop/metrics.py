@@ -31,6 +31,7 @@ class KbqaEvalResult:
     avg_llm_calls: float
     avg_seconds: float
     n_questions: int
+    n_failed: int  # questions a transport failure aborted, counted as misses
 
     def to_dict(self) -> dict:
         return {
@@ -38,6 +39,7 @@ class KbqaEvalResult:
             "avg_llm_calls": self.avg_llm_calls,
             "avg_seconds": self.avg_seconds,
             "n_questions": self.n_questions,
+            "n_failed": self.n_failed,
         }
 
 

@@ -362,8 +362,9 @@ def test_replay_finetune_learns_without_forgetting():
     rank_before = _mean_rank(model, kb, new_triples)
     mrr_before = _probe_mrr(model, kb, probe)
 
-    memory = ReplayMemory(train_triples, seed=0)
-    model.incremental_finetune(new_triples, memory, kb=kb, config=config)
+    replay = ReplayMemory(train_triples, seed=0).sample(
+        len(new_triples) * config.replay_samples_per_triple)
+    model.incremental_finetune(new_triples, replay, kb, config)
 
     rank_after = _mean_rank(model, kb, new_triples)
     mrr_after = _probe_mrr(model, kb, probe)

@@ -484,16 +484,12 @@ class TestAnswer:
         assert result.exit_code == 2
         assert "--run-dir" in result.output
 
-    @pytest.mark.parametrize("command", ["answer", "eval-kbqa"])
+    @pytest.mark.parametrize("command", ["answer"])
     def test_chat_transport_failure_is_one_line_error(self, workspace, monkeypatch, command):
+        """eval-kbqa goes on instead: see ``test_eval_kbqa_goes_on_after_an_aborted_question``."""
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
         invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
-        qa = tmp_path / "qa.jsonl"
-        qa.write_text(
-            json.dumps({"question": "q?", "topic_entities": ["e0"], "answers": ["Entity 3"]}) + "\n",
-            encoding="utf-8",
-        )
         url = "http://127.0.0.1:9/v1/chat/completions"
 
         class DownBackend:
@@ -501,10 +497,9 @@ class TestAnswer:
                 raise LlmTransportError(f"request to {url} failed: connection refused")
 
         monkeypatch.setattr(cli, "_backend", lambda cfg, scripted: DownBackend())
-        args = {"answer": ["--question", "q?", "--topic", "e0"], "eval-kbqa": ["--qa", str(qa)]}
         result = CliRunner().invoke(
             main, [command, "--config", str(config_path), "--run-dir", str(run_dir),
-                   *args[command]],
+                   "--question", "q?", "--topic", "e0"],
         )
         assert result.exit_code == 1
         assert result.output == f"Error: request to {url} failed: connection refused\n"
@@ -777,13 +772,13 @@ class TestJointAndReport:
         qa, script = write_joint_inputs(tmp_path)
         invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
         parsed = []
-        read_jsonl = joint_mod.read_jsonl
+        parse_jsonl = joint_mod.parse_jsonl
 
-        def counting(path):
+        def counting(lines, path):
             parsed.append(Path(path).name)
-            return read_jsonl(path)
+            return parse_jsonl(lines, path)
 
-        monkeypatch.setattr(joint_mod, "read_jsonl", counting)
+        monkeypatch.setattr(joint_mod, "parse_jsonl", counting)
         result = invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script), "--resume")
         assert result.exit_code == 0, result.output
         assert parsed.count("trajectories.jsonl") == 1
@@ -833,6 +828,59 @@ class TestJointAndReport:
         logged = json.loads((run_dir / "kbqa_trajectories.jsonl").read_text(encoding="utf-8"))
         assert (report["avg_llm_calls"], report["avg_seconds"]) == \
             (logged["llm_call_count"], logged["wall_time_s"])
+
+    def test_eval_kbqa_goes_on_after_an_aborted_question(self, workspace, monkeypatch):
+        """The second of three questions meets a transport failure: it is
+        logged with its error and counted as a miss, and the third runs."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text("".join(
+            json.dumps({"question": f"q{i}?", "topic_entities": ["e0"], "answers": ["Entity 3"]})
+            + "\n" for i in range(3)), encoding="utf-8")
+        finish = "Thought 1: t.\nAction 1: Finish[Entity 3]"
+        inner = ScriptedBackend([("q0?", finish), ("q2?", finish)])
+
+        class FlakyBackend:
+            def chat(self, turns, params=None):
+                if "q1?" in turns[-1].content:
+                    raise LlmTransportError("request failed: connection refused")
+                return inner.chat(turns, params)
+
+        monkeypatch.setattr(cli, "_backend", lambda cfg, scripted: FlakyBackend())
+        result = invoke("eval-kbqa", "--config", str(config_path), "--run-dir", str(run_dir),
+                        "--qa", str(qa))
+        assert result.exit_code == 0, result.output
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        assert (report["n_questions"], report["n_failed"]) == (3, 1)
+        assert report["hits_at_1"] == pytest.approx(2 / 3)
+        logged = [json.loads(line) for line in
+                  (run_dir / "kbqa_trajectories.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [line["question"] for line in logged] == ["q0?", "q1?", "q2?"]
+        assert [line["error"] for line in logged] == \
+            ["", "request failed: connection refused", ""]
+        assert logged[1]["final_answers"] == [] and logged[1]["llm_call_count"] == 1
+
+    def test_report_leaves_a_torn_log_as_it_is(self, workspace, caplog):
+        """``report`` only reads: a torn last line, perhaps one a live run is
+        appending, is dropped in memory and stays in the file."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa, script = write_joint_inputs(tmp_path)
+        invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        log = run_dir / "trajectories.jsonl"
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write('{"question": "half a li')
+        before = log.read_bytes()
+
+        result = invoke("report", "--run-dir", str(run_dir))
+        assert result.exit_code == 0, result.output
+        assert '"n_questions": 1' in result.output
+        assert "dropping the torn last line" in caplog.text
+        assert log.read_bytes() == before
 
     def test_report_empty_dir_is_usage_error(self, tmp_path):
         result = CliRunner().invoke(main, ["report", "--run-dir", str(tmp_path)])

@@ -279,45 +279,30 @@ class TestIncrementalFinetune:
         kb, model = self.pretrained()
         before_e = model.entity_vecs.copy()
         before_r = model.relation_vecs.copy()
-        memory = ReplayMemory(sorted(kb.triples), seed=0)
-        out = model.incremental_finetune([], memory, kb, TrainingConfig())
+        rng_state = model._rng.bit_generator.state
+        out = model.incremental_finetune([], sorted(kb.triples), kb, TrainingConfig())
         assert out is model
         assert np.array_equal(model.entity_vecs, before_e)
         assert np.array_equal(model.relation_vecs, before_r)
-
-    def test_one_triple_draws_ten_replay(self, monkeypatch):
-        kb, model = self.pretrained()
-        memory = ReplayMemory(sorted(kb.triples), seed=0)
-        seen = {}
-        original = model._run_passes
-
-        def spy(encoded, config, n_passes):
-            seen["batch"] = len(encoded)
-            return original(encoded, config, n_passes)
-
-        monkeypatch.setattr(model, "_run_passes", spy)
-        model.incremental_finetune(
-            [Triple("e0", "s", "e1")], memory, kb, TrainingConfig(finetune_passes=1)
-        )
-        assert seen["batch"] == 11
+        assert model._rng.bit_generator.state == rng_state
 
     def test_unseen_triple_score_strictly_increases(self):
         kb, model = self.pretrained()
         new = Triple("e0", "s", "e9")
         assert new not in kb.triples
         before = score_triple(model, new)
-        memory = ReplayMemory(sorted(kb.triples), seed=0)
-        model.incremental_finetune([new], memory, kb, TrainingConfig(finetune_passes=5))
+        replay = ReplayMemory(sorted(kb.triples), seed=0).sample(10)
+        model.incremental_finetune([new], replay, kb, TrainingConfig(finetune_passes=5))
         assert score_triple(model, new) > before
 
     def test_unknown_entity_raises_before_any_update(self):
         kb, model = self.pretrained()
         before_e = model.entity_vecs.copy()
         before_r = model.relation_vecs.copy()
-        memory = ReplayMemory(sorted(kb.triples), seed=0)
         path = [Triple("brand_new", "r", "e0")]
         with pytest.raises(UnknownEntityError):
-            model.incremental_finetune(path, memory, kb, TrainingConfig(finetune_passes=1))
+            model.incremental_finetune(path, sorted(kb.triples)[:10], kb,
+                                       TrainingConfig(finetune_passes=1))
         assert "brand_new" not in model.entity_ids
         assert np.array_equal(model.entity_vecs, before_e)
         assert np.array_equal(model.relation_vecs, before_r)
@@ -326,9 +311,7 @@ class TestIncrementalFinetune:
         kb = toy_kb()
         model = NativeCompleter(kb)
         with pytest.raises(ModelStateError):
-            model.incremental_finetune(
-                [Triple("e0", "r", "e1")], ReplayMemory(sorted(kb.triples)), kb
-            )
+            model.incremental_finetune([Triple("e0", "r", "e1")], [], kb, TrainingConfig())
 
 
 class TestCheckpoint:
@@ -346,6 +329,13 @@ class TestCheckpoint:
         assert [p.entity for p in loaded.predict(q, kb, 5)] == [
             p.entity for p in model.predict(q, kb, 5)
         ]
+
+    def test_the_entity_vocabulary_is_the_kbs(self, tmp_path):
+        kb = toy_kb()
+        model = NativeCompleter(kb, dim=4, seed=2)
+        model.save(tmp_path / "model.npz")
+        assert model._ent_index is kb.entity_index
+        assert NativeCompleter.load(tmp_path / "model.npz", kb).completer._ent_index is kb.entity_index
 
     def test_no_pickles_and_the_rng_state_survives(self, tmp_path):
         kb = toy_kb()
@@ -452,15 +442,17 @@ class TestRemoteCompleter:
     def test_finetune_wire_shape(self, bieber_kb):
         transport = StubTransport([])
         remote = RemoteCompleter(transport=transport)
-        memory = ReplayMemory(sorted(bieber_kb.triples), seed=0)
+        replay = sorted(bieber_kb.triples)[:2]
         remote.incremental_finetune(
-            [Triple("Q34086", "P22", "Q16004214")], memory, kb=bieber_kb,
-            config=TrainingConfig(replay_samples_per_triple=2),
+            [Triple("Q34086", "P22", "Q16004214")], replay, bieber_kb, TrainingConfig(),
         )
         path, payload = transport.requests[0]
         assert path == "finetune"
         assert payload["triples"] == [["Justin Bieber", "father", "Jeremy Bieber"]]
-        assert len(payload["replay"]) == 2
+        assert payload["replay"] == [
+            [bieber_kb.label_of(h), bieber_kb.relation_label(r), bieber_kb.label_of(t)]
+            for h, r, t in replay
+        ]
 
     def test_malformed_response(self, bieber_kb):
         remote = RemoteCompleter(transport=lambda path, payload: {"oops": 1})

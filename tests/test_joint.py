@@ -1,6 +1,9 @@
 """Joint loop: episodes feed reasoning paths into incremental fine-tuning."""
 
+import builtins
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from kbloop.joint import (
     load_qa_examples,
     run_joint_training,
 )
-from kbloop.kb import Triple
+from kbloop.kb import KbLoadError, Triple
 from kbloop.llm import LlmTransportError, ScriptedBackend
 
 from conftest import make_kb
@@ -85,6 +88,27 @@ class TestTrainJoint:
         assert len(result.records) == 2
         assert all(r.finetuned for r in result.records)
         assert [len(r.path.triples) for r in result.records] == [1, 1]
+
+    def test_one_path_triple_draws_ten_replay(self, tmp_path, monkeypatch):
+        """The loop draws the replay, ``replay_samples_per_triple`` (10) per
+        path triple, and the completer trains on the path and that draw."""
+        kb = chain_kb(40)  # 39 pool triples: a draw of 10 is not the whole pool
+        config = TrainingConfig(epochs=2, seed=0, finetune_passes=1)
+        model = pretrained(tmp_path, kb, sorted(kb.triples), 8, config)
+        batches = []
+        original = model._run_passes
+
+        def spy(encoded, config, n_passes):
+            batches.append(len(encoded))
+            return original(encoded, config, n_passes)
+
+        monkeypatch.setattr(model, "_run_passes", spy)
+        result = run_joint_training(
+            tmp_path, kb, [QaExample("q one?", ("e0",), ("E5",))], Snapshot(model),
+            ScriptedBackend(generate_episode_script("E0", "E5")), train_config=config,
+        )
+        assert [len(r.path.triples) for r in result.records] == [1]
+        assert batches == [11]
 
     def test_injected_triple_rank_improves(self, tmp_path):
         kb, model, config, pretrain, backend, qa = self.setup_run(tmp_path)
@@ -229,6 +253,25 @@ class TestPersistence:
         examples = load_qa_examples(path)
         assert examples == [QaExample("q?", ("e0",), ("E5",))]
 
+    def test_entries_read_the_log_once_with_the_jsonl_rules(self, tmp_path, monkeypatch):
+        log = RunLog(tmp_path)
+        log.trajectories_path.write_bytes(b'{"a": 1}\n\n{"a": 2}\n{"a": 3, "torn')
+        opened = []
+        real_open = io.open
+
+        def counting(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        assert log.entries() == [{"a": 1}, {"a": 2}]  # blank line skipped, torn line dropped
+        assert opened == ["trajectories.jsonl"]
+        monkeypatch.undo()
+        log.trajectories_path.write_bytes(b'{"a": 1}\n\nnot json\n')
+        with pytest.raises(KbLoadError, match="trajectories.jsonl:3: not valid JSON"):
+            log.entries()
+
     def test_run_log_and_resume(self, tmp_path):
         kb = chain_kb()
         pretrain = sorted(kb.triples)
@@ -284,11 +327,13 @@ class TestPersistence:
 
         log.checkpoint_path.write_bytes(base)
         memory = ReplayMemory(sorted(kb.triples), seed=config.seed)
-        replayed = log.replay(
-            NativeCompleter.load(log.checkpoint_path, kb), memory,
-            lambda m, triples: m.incremental_finetune(triples, memory, kb=kb, config=config),
-            log.entries(),
-        )
+
+        def finetune(m, triples):
+            replay = memory.sample(len(triples) * config.replay_samples_per_triple)
+            m.incremental_finetune(triples, replay, kb, config)
+
+        replayed = log.replay(NativeCompleter.load(log.checkpoint_path, kb), memory, finetune,
+                              log.entries())
         assert_float32(replayed)
         assert np.array_equal(replayed.entity_vecs, model.entity_vecs)
 
