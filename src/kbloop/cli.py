@@ -142,10 +142,10 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
         n_valid=n_valid, n_test=n_test, keep_fraction=keep_fraction, seed=seed,
     )
     # the full KB is only split and degraded, so it is read and checked, not indexed
-    entities, _, triples = kb_mod.read_kb(*_kb_paths(cfg))
+    _, _, triples = kb_mod.read_kb(*_kb_paths(cfg))
     try:
         bundle = kb_mod.split(triples, cfg.n_valid, cfg.n_test, cfg.seed)
-        working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.seed, [e.id for e in entities])
+        working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.seed)
     except ValueError as exc:  # split sizes or keep_fraction that the KB cannot meet
         raise click.UsageError(str(exc)) from exc
 
@@ -215,7 +215,8 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
 @click.option("--split", "split_name", type=click.Choice(["valid", "test"]), default="test")
 @click.option("--k", "ks", default="1,3,10", help="Comma-separated Hits@k cutoffs.")
 @click.option("--filtered", is_flag=True, help="Drop other known-true tails before ranking.")
-@click.option("--limit", type=int, default=None, help="Evaluate only the first N queries.")
+@click.option("--limit", type=click.IntRange(min=1), default=None,
+              help="Evaluate only the first N queries.")
 def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
     """Rank gold tails for held-out triples and report MRR / Hits@k."""
     cfg = _load_run_config(config_path)
@@ -223,11 +224,15 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
         cutoffs = sorted({int(x) for x in ks.split(",") if x.strip()})
     except ValueError:
         raise click.UsageError(f"bad --k list: {ks!r}")
+    if cutoffs and cutoffs[0] < 1:
+        raise click.UsageError(f"bad --k list: {ks!r} (each cutoff must be at least 1)")
     working_kb = _working_kb(run_dir)
     completer = _model(cfg, run_dir, working_kb)
-    split = kb_mod.read_triples(Path(run_dir) / f"{split_name}.tsv", working_kb.entities,
-                                working_kb.relations)
-    queries = split[:limit] if limit else split
+    split_path = Path(run_dir) / f"{split_name}.tsv"
+    split = kb_mod.read_triples(split_path, working_kb.entities, working_kb.relations)
+    if not split:
+        raise click.UsageError(f"no query to evaluate in {split_path}")
+    queries = split[:limit]
     # known-true tails of the queried (h, r) pairs only; unknown tails are ignored
     known_tails = {}
     if filtered:
@@ -289,6 +294,8 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
     completer = _model(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
     examples = joint_mod.load_qa_examples(qa_path)
+    if not examples:
+        raise click.UsageError(f"no question to evaluate in {qa_path}")
 
     # the efficiency averages come from the two numbers of each written record
     final_answers, gold, costs, n_failed = [], [], [], 0

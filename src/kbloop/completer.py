@@ -373,6 +373,8 @@ class NativeCompleter:
             raise refuse(f"holds {'/'.join(sorted(dtypes))} tables, not float32")
         if model.entity_ids != list(kb.entity_index):
             raise refuse("does not match the KB's entities")
+        if model.relation_ids != sorted(kb.relations):
+            raise refuse("does not match the KB's relations")
         dim = model.entity_vecs.shape[1:2]  # () for a table that is not 2-D
         if (not dim or model.entity_vecs.shape != (len(model.entity_ids), *dim)
                 or model.relation_vecs.shape != (len(model.relation_ids), *dim)):

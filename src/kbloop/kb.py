@@ -1,9 +1,9 @@
 """Triple store with adjacency indexes, a label catalog, and context selection.
 
 A knowledge base is a set of directed (head, relation, tail) triples plus
-surface records (labels, descriptions) for entities and relations. The
-reserved relation ``noop`` marks the self-loop attached to entities left
-without edges after degradation, so no entity ever disappears from the graph.
+surface records (labels, descriptions) for entities and relations. Its
+entities are those of its records, so an entity with no edge is still one of
+them.
 
 The store is immutable after construction: its entities, relations and
 triples are fixed when it is built, so it is safe for concurrent readers, and
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
-
-NOOP_RELATION = "noop"
 
 EntityId = str
 RelationId = str
@@ -114,10 +112,6 @@ class KnowledgeBase:
             ids.sort()
         for rec in relations:
             self.relations[rec.id] = rec
-        if NOOP_RELATION not in self.relations:
-            self.relations[NOOP_RELATION] = RelationRecord(
-                NOOP_RELATION, NOOP_RELATION, "self-loop placeholder for isolated entities"
-            )
         self._relation_catalog: dict[str, list[RelationId]] = {}
         for r, rec in sorted(self.relations.items()):
             self._relation_catalog.setdefault(normalize_label(rec.label), []).append(r)
@@ -185,39 +179,37 @@ class KnowledgeBase:
 
     @functools.cached_property
     def _relation_entities(self) -> dict[RelationId, set[EntityId]]:
-        """Relation id -> entities incident to it, noop excluded, for
-        co-occurrence counting. Built on first use."""
+        """Relation id -> entities incident to it, for co-occurrence
+        counting. Built on first use."""
         incident = {}
         for h, r, t in self.triples:
-            if r != NOOP_RELATION:
-                incident.setdefault(r, set()).update((h, t))
+            incident.setdefault(r, set()).update((h, t))
         return incident
 
     # -- graph queries ----------------------------------------------------
 
     def neighbors(self, e: EntityId) -> list[Triple]:
-        """All triples incident to ``e`` in either direction, noop loops
-        excluded, sorted by (relation, counterpart, head, tail)."""
+        """All triples incident to ``e`` in either direction, sorted by
+        (relation, counterpart, head, tail)."""
         self.entity(e)
         # a self-loop is in both lists; it is taken from the outgoing one
-        found = [t for t in self.out_index.get(e, ()) if t[1] != NOOP_RELATION]
-        found += [t for t in self.in_index.get(e, ()) if t[1] != NOOP_RELATION and t[0] != e]
+        found = list(self.out_index.get(e, ()))
+        found += [t for t in self.in_index.get(e, ()) if t[0] != e]
         found.sort(key=lambda t: (t[1], t[2] if t[0] == e else t[0], t[0], t[2]))
         return found
 
     def relations_of(self, e: EntityId) -> set[RelationId]:
-        """Relations incident to ``e`` in either direction, noop excluded."""
+        """Relations incident to ``e`` in either direction."""
         self.entity(e)
         rels = {r for _, r, _ in self.out_index.get(e, ())}
         rels.update(r for _, r, _ in self.in_index.get(e, ()))
-        rels.discard(NOOP_RELATION)
         return rels
 
     def cooccurrence_score(self, r: RelationId, r_hat: RelationId) -> int:
         """Number of entities incident to both ``r`` and ``r_hat``.
 
         Symmetric in its arguments: an entity counts when both relations
-        appear among its incident (either-direction) non-noop triples.
+        appear among its incident (either-direction) triples.
         """
         self.relation(r)
         self.relation(r_hat)
@@ -386,7 +378,6 @@ def read_kb(triples_path, entities_path, relations_path):
             raise KbLoadError(f"{relations_path}:{lineno}: empty label for relation {rid!r}")
         seen_relations.add(rid)
         relations.append(RelationRecord(rid, label, desc, schema))
-    seen_relations.add(NOOP_RELATION)
 
     triples = read_triples(triples_path, seen_entities, seen_relations)
     return entities, relations, triples
@@ -427,27 +418,12 @@ def split(triples, n_valid: int, n_test: int, seed: int) -> SplitBundle:
     return SplitBundle(train=train, valid=valid, test=test)
 
 
-def degrade(train, keep_fraction: float, seed: int, entities) -> set[Triple]:
-    """Randomly keep ``keep_fraction`` of the training edges.
-
-    Every id in ``entities`` left with no kept non-noop triple receives a single
-    ``noop`` self-loop so the degraded graph still covers the full entity set.
-    ``keep_fraction == 1.0`` is the identity (no loops added). Rounding is
-    half-up. Deterministic under ``seed``.
-    """
+def degrade(train, keep_fraction: float, seed: int) -> set[Triple]:
+    """Randomly keep ``keep_fraction`` of the distinct training edges, and
+    add none. Rounding is half-up. Deterministic under ``seed``."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     # sorted() is linear on an already sorted split; groupby drops repeats
     pool = [t for t, _ in itertools.groupby(sorted(train))]
-    if keep_fraction == 1.0:
-        return set(pool)
     keep_n = int(keep_fraction * len(pool) + 0.5)
-    rng = random.Random(seed)
-    kept = set(rng.sample(pool, keep_n))
-    covered = set()
-    for h, r, t in kept:
-        if r != NOOP_RELATION:
-            covered.add(h)
-            covered.add(t)
-    kept.update(Triple(e, NOOP_RELATION, e) for e in entities if e not in covered)
-    return kept
+    return set(random.Random(seed).sample(pool, keep_n))

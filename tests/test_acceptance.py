@@ -25,7 +25,7 @@ from kbloop.completer import (
     TrainingConfig,
 )
 from kbloop.joint import QaExample, RunLog, run_joint_training
-from kbloop.kb import NOOP_RELATION, KnowledgeBase, Triple, degrade
+from kbloop.kb import KnowledgeBase, Triple, degrade
 from kbloop.llm import LiveBackend, ScriptedBackend
 from kbloop.metrics import hits_at_k, kbqa_hits_at_1, mrr
 from kbloop.paths import build_subgraph, bfs_witness
@@ -81,7 +81,7 @@ def test_cooccurrence_matches_brute_force():
             incident[order[t.head]].add(t.relation)
             incident[order[t.tail]].add(t.relation)
 
-        rels = sorted(r for r in kb.relations if r != NOOP_RELATION)
+        rels = sorted(kb.relations)
         for i, r in enumerate(rels):
             for rh in rels[i:]:
                 brute = sum(1 for rel_set in incident if r in rel_set and rh in rel_set)
@@ -398,9 +398,9 @@ def _joint_world(rng):
         if h != t:
             triples.add((f"e{h}", f"r{rng.randrange(n_relations)}", f"e{t}"))
     full = make_kb(sorted(triples), entities=entities, relations=relations)
-    kept = degrade(sorted(full.triples), 0.5, seed=17, entities=full.entities)
+    kept = degrade(sorted(full.triples), 0.5, seed=17)
     working = KnowledgeBase(full.entities.values(), full.relations.values(), kept)
-    deleted = sorted(full.triples - {t for t in kept if t.relation != NOOP_RELATION})
+    deleted = sorted(full.triples - kept)
     injectable = [t for t in deleted if t.head != t.tail]
     rng.shuffle(injectable)
     return working, injectable[:10]

@@ -16,6 +16,7 @@ from kbloop import cli
 from kbloop import joint as joint_mod
 from kbloop import kb as kb_mod
 from kbloop.cli import main
+from kbloop.completer import NativeCompleter
 from kbloop.config import RunConfig, load_config
 from kbloop.llm import LlmParams, LlmTransportError, ScriptedBackend
 
@@ -70,6 +71,24 @@ class TestPrepare:
         run_dir = prepare(workspace)
         for name in ("train.tsv", "valid.tsv", "test.tsv", "working_triples.tsv", "config.json"):
             assert (run_dir / name).exists()
+
+    def test_entity_without_kept_edge_stays_in_the_working_kb(self, workspace):
+        """Degradation drops edges, never entities: every id of entities.tsv
+        is in the working KB, its label catalog and the completer's rows."""
+        tmp_path, config_path = workspace
+        run_dir = tmp_path / "run"
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("kb", "prepare", *cfg, "--keep-fraction", "0.1")
+        invoke("pretrain", *cfg)
+        records, _, working = kb_mod.read_kb(*(run_dir / name for name in
+                                               ("working_triples.tsv", "entities.tsv", "relations.tsv")))
+        ids = [rec.id for rec in records]
+        assert set(ids) - {e for t in working for e in (t.head, t.tail)}, "every entity kept an edge"
+        kb = cli._working_kb(run_dir)
+        assert sorted(kb.entities) == sorted(ids)
+        assert all(rec.id in kb.lookup_label(rec.label) for rec in records)
+        model = NativeCompleter.load(run_dir / "completer.npz", kb).completer
+        assert model.entity_ids == sorted(ids)
 
     def test_missing_config_exits_2(self, workspace):
         tmp_path, _ = workspace
@@ -231,12 +250,13 @@ class TestConfigSurface:
 
 
 # sha256 of each file `kb prepare` writes for the seeded input of
-# `pinned_inputs`, recorded when `Triple` was still a frozen dataclass
+# `pinned_inputs`, recorded when `Triple` was still a frozen dataclass; the
+# working file's was re-recorded when degradation stopped adding self-loops
 PINNED_PREPARE_SHA256 = {
     "train.tsv": "d7601114784526dd783bf191fa097b3863afa1ada5fdd2aec7f3e8cd29cfe0f7",
     "valid.tsv": "285b91ee2c5407b6ae45f94e860594161125bb07de3c27b9b86a5055626066a8",
     "test.tsv": "6fb9198bea71420755cff6953bb52229c1e0e02d6f67ce727431d9df8039b528",
-    "working_triples.tsv": "2872ab2bb793351b4fe4b9edd6c384119aa0260124bd132d8342de7662ff25c4",
+    "working_triples.tsv": "b3cc86a32abcdd23b47e9d69e74823b70164dd383e3200ac9d9bf2be99a938f7",
 }
 
 
@@ -364,6 +384,43 @@ class TestPretrainAndEval:
         )
         assert result.exit_code == 1
         assert "test.tsv:2" in result.output
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--limit", "0"], "--limit"),
+        (["--limit", "-2"], "--limit"),
+        (["--k", "0"], "--k"),
+        (["--k", "1,0,3"], "--k"),
+    ], ids=["limit_zero", "limit_negative", "k_zero", "k_list_with_zero"])
+    def test_bad_flag_is_usage_error(self, workspace, flags, named):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        result = invoke("eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir), *flags)
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if "Error" in line]
+        assert len(errors) == 1 and named in errors[0]
+        assert not (run_dir / "report.json").exists()
+
+    def test_limit_evaluates_the_first_queries(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        result = invoke("eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir),
+                        "--limit", "2")
+        assert result.exit_code == 0, result.output
+        assert json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["n_queries"] == 2
+
+    def test_empty_split_is_usage_error(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = tmp_path / "run"
+        invoke("kb", "prepare", "--config", str(config_path), "--run-dir", str(run_dir),
+               "--n-valid", "0")
+        invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
+        result = invoke("eval-kbc", "--config", str(config_path), "--run-dir", str(run_dir),
+                        "--split", "valid")
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == f"Error: no query to evaluate in {run_dir / 'valid.tsv'}"
+        assert not (run_dir / "report.json").exists()
 
     @pytest.mark.parametrize("line", ["nobody\tr0\te1\n", "e1\tr0\tnobody\n"],
                              ids=["unknown_head", "unknown_tail"])
@@ -615,6 +672,10 @@ SNAPSHOT_DAMAGE = {
         c, lambda a: a.update(replay_rng_state=np.array("[3, [1, 2"))),
     "rows_do_not_match_ids": lambda c: _rewrite_snapshot(
         c, lambda a: a.update(entity_vecs=a["entity_vecs"][:-1])),
+    # as pretrained when the store still reserved a `noop` relation
+    "extra_noop_relation_row": lambda c: _rewrite_snapshot(
+        c, lambda a: a.update(relation_ids=np.array(["noop", *a["relation_ids"]]),
+                              relation_vecs=np.concatenate([a["relation_vecs"][:1], a["relation_vecs"]]))),
 }
 
 
@@ -681,8 +742,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
     def test_damaged_snapshot(self, workspace, damage, command):
         """A snapshot that is cut short, lacks a key, holds a replay RNG state
-        that does not parse, or has a row count that does not match its ids
-        is refused in one line naming it, with exit code 2."""
+        that does not parse, has a row count that does not match its ids, or
+        has a relation the KB lacks is refused in one line naming it, with
+        exit code 2."""
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
         cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
@@ -828,6 +890,27 @@ class TestJointAndReport:
         logged = json.loads((run_dir / "kbqa_trajectories.jsonl").read_text(encoding="utf-8"))
         assert (report["avg_llm_calls"], report["avg_seconds"]) == \
             (logged["llm_call_count"], logged["wall_time_s"])
+
+    def test_eval_kbqa_refuses_a_file_with_no_question(self, workspace):
+        """eval-kbqa has nothing to average over an empty QA file;
+        train-joint over one finishes with no question asked."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text("\n", encoding="utf-8")
+        script = tmp_path / "script.jsonl"
+        script.write_text("", encoding="utf-8")
+        result = invoke("eval-kbqa", *cfg, "--qa", str(qa), "--scripted", str(script))
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == f"Error: no question to evaluate in {qa}"
+        assert not (run_dir / "kbqa_trajectories.jsonl").exists()
+        assert not (run_dir / "report.json").exists()
+
+        result = invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        assert result.exit_code == 0, result.output
+        assert "0 questions" in result.output
 
     def test_eval_kbqa_goes_on_after_an_aborted_question(self, workspace, monkeypatch):
         """The second of three questions meets a transport failure: it is

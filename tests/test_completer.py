@@ -16,6 +16,7 @@ from kbloop.completer import (
     NativeCompleter,
     RemoteCompleter,
     ReplayMemory,
+    SnapshotError,
     TrainingConfig,
     TrainingError,
     build_input_sequence,
@@ -336,6 +337,14 @@ class TestCheckpoint:
         model.save(tmp_path / "model.npz")
         assert model._ent_index is kb.entity_index
         assert NativeCompleter.load(tmp_path / "model.npz", kb).completer._ent_index is kb.entity_index
+
+    def test_the_relation_vocabulary_is_the_kbs(self, tmp_path):
+        # same entities and the same number of relations, so only the ids differ
+        model = NativeCompleter(make_kb([("a", "r", "b"), ("b", "s", "a")]), dim=4, seed=2)
+        model.save(tmp_path / "model.npz")
+        other = make_kb([("a", "r", "b"), ("b", "t", "a")])
+        with pytest.raises(SnapshotError, match="does not match the KB's relations"):
+            NativeCompleter.load(tmp_path / "model.npz", other)
 
     def test_no_pickles_and_the_rng_state_survives(self, tmp_path):
         kb = toy_kb()

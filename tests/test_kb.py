@@ -8,7 +8,6 @@ import pytest
 
 from kbloop.kb import (
     KbLoadError,
-    NOOP_RELATION,
     Triple,
     UnknownEntityError,
     UnknownRelationError,
@@ -93,10 +92,17 @@ class TestLoad:
         with pytest.raises(KbLoadError, match=":2"):
             load_kb(*files)
 
-    def test_noop_always_registered(self, tmp_path):
+    def test_only_declared_relations_registered(self, tmp_path):
         files = write_kb_files(tmp_path, [("a", "r1", "b")], BASE_ENTITIES, BASE_RELATIONS)
         kb = load_kb(*files)
-        assert NOOP_RELATION in kb.relations
+        assert sorted(kb.relations) == sorted(BASE_RELATIONS)
+
+    def test_undeclared_noop_relation_named(self, tmp_path):
+        # a working graph prepared with the old self-loop padding
+        files = write_kb_files(tmp_path, [("a", "r1", "b"), ("c", "noop", "c")],
+                               BASE_ENTITIES, BASE_RELATIONS)
+        with pytest.raises(KbLoadError, match=r":2: triple references unknown relation 'noop'"):
+            load_kb(*files)
 
     def test_catalog_collisions_keep_all_ids(self):
         kb = make_kb(
@@ -164,70 +170,54 @@ class TestSplit:
 
 
 class TestDegrade:
-    def test_half_keeps_half_plus_loops(self):
+    def test_half_keeps_half(self):
         rng = random.Random(11)
         kb = random_kb(rng, 300, 8, 1000)
         train = sorted(kb.triples)
-        kept = degrade(train, 0.5, seed=5, entities=kb.entities)
-        originals = [t for t in kept if t.relation != NOOP_RELATION]
-        assert len(originals) == round(0.5 * len(train))
-        covered = {e for t in originals for e in (t.head, t.tail)}
-        for e in kb.entities:
-            if e not in covered:
-                assert Triple(e, NOOP_RELATION, e) in kept
+        kept = degrade(train, 0.5, seed=5)
+        assert len(kept) == round(0.5 * len(train))
+        assert kept <= kb.triples
 
     def test_identity_when_keeping_all(self):
         kb = make_kb([("a", "r", "b"), ("b", "r", "c")])
         train = sorted(kb.triples)
-        assert degrade(train, 1.0, seed=0, entities=kb.entities) == set(train)
+        assert degrade(train, 1.0, seed=0) == set(train)
 
-    def test_star_graph_leaves_get_loops(self):
-        # hub with four leaves; keeping 25% retains exactly one spoke, so the
-        # isolation set is (all leaves minus the kept one), worked out below
-        triples = [("hub", "r", f"leaf{i}") for i in range(4)]
-        kb = make_kb(triples)
-        kept = degrade([Triple(*t) for t in triples], 0.25, seed=2, entities=kb.entities)
-        originals = {t for t in kept if t.relation != NOOP_RELATION}
-        assert len(originals) == 1
-        surviving_leaf = next(iter(originals)).tail
-        expected_loops = {
-            Triple(f"leaf{i}", NOOP_RELATION, f"leaf{i}")
-            for i in range(4)
-            if f"leaf{i}" != surviving_leaf
-        }
-        assert {t for t in kept if t.relation == NOOP_RELATION} == expected_loops
+    def test_star_graph_keeps_one_spoke(self):
+        # hub with four leaves; keeping 25% retains exactly one spoke, and
+        # the three other leaves are left with no edge
+        triples = [Triple("hub", "r", f"leaf{i}") for i in range(4)]
+        kept = degrade(triples, 0.25, seed=2)
+        assert len(kept) == 1 and kept <= set(triples)
 
-    def test_no_entity_left_isolated(self):
+    def test_adds_no_triple(self):
         rng = random.Random(23)
         for trial in range(10):
             kb = random_kb(rng, 40, 5, 80)
-            kept = degrade(sorted(kb.triples), 0.3, seed=trial, entities=kb.entities)
-            incident = {}
-            for t in kept:
-                incident.setdefault(t.head, []).append(t)
-                incident.setdefault(t.tail, []).append(t)
-            for e in kb.entities:
-                assert incident.get(e), f"entity {e} lost all triples"
+            train = sorted(kb.triples)
+            kept = degrade(train, 0.3, seed=trial)
+            assert kept <= kb.triples
+            assert len(kept) == int(0.3 * len(train) + 0.5)
 
     def test_deterministic(self):
         kb = make_kb([(f"e{i}", "r", f"e{i+1}") for i in range(50)])
         train = sorted(kb.triples)
-        assert degrade(train, 0.4, 9, kb.entities) == degrade(train, 0.4, 9, kb.entities)
+        assert degrade(train, 0.4, 9) == degrade(train, 0.4, 9)
 
     def test_same_set_from_a_list_a_tuple_or_a_set(self):
         rng = random.Random(4)
         kb = random_kb(rng, 60, 4, 200)
         train = sorted(kb.triples)
-        want = degrade(train, 0.3, seed=2, entities=kb.entities)
+        want = degrade(train, 0.3, seed=2)
         shuffled = train + train[:20]
         rng.shuffle(shuffled)
         for given in (tuple(train), set(train), shuffled, tuple(shuffled)):
-            assert degrade(given, 0.3, seed=2, entities=kb.entities) == want
+            assert degrade(given, 0.3, seed=2) == want
 
     def test_bad_fraction(self):
         kb = make_kb([("a", "r", "b")])
         with pytest.raises(ValueError):
-            degrade(sorted(kb.triples), 0.0, 1, kb.entities)
+            degrade(sorted(kb.triples), 0.0, 1)
 
 
 class TestNeighbors:
@@ -235,9 +225,9 @@ class TestNeighbors:
         kb = make_kb([("e", "r1", "a"), ("e", "r2", "b"), ("c", "r3", "e")])
         assert len(kb.neighbors("e")) == 3
 
-    def test_noop_loop_excluded(self):
-        kb = make_kb([("e", NOOP_RELATION, "e"), ("a", "r", "b")])
-        assert kb.neighbors("e") == []
+    def test_self_loop_listed_once(self):
+        kb = make_kb([("e", "r", "e"), ("a", "r", "b")])
+        assert kb.neighbors("e") == [Triple("e", "r", "e")]
 
     def test_unknown_entity(self):
         kb = make_kb([("a", "r", "b")])
@@ -249,9 +239,7 @@ class TestNeighbors:
         for trial in range(10):
             kb = random_kb(rng, 30, 5, 60)
             for e in kb.entities:
-                expected = {
-                    t for t in kb.triples if t.relation != NOOP_RELATION and e in (t.head, t.tail)
-                }
+                expected = {t for t in kb.triples if e in (t.head, t.tail)}
                 assert set(kb.neighbors(e)) == expected
 
 
@@ -274,8 +262,6 @@ def brute_force_cooccurrence(kb, r, r_hat) -> int:
     for e in kb.entities:
         incident = set()
         for t in kb.triples:
-            if t.relation == NOOP_RELATION:
-                continue
             if t.head == e or t.tail == e:
                 incident.add(t.relation)
         if r in incident and r_hat in incident:
@@ -316,7 +302,7 @@ class TestCooccurrence:
         rng = random.Random(99)
         for trial in range(10):
             kb = random_kb(rng, 50, 6, 120)
-            rels = sorted(r for r in kb.relations if r != NOOP_RELATION)
+            rels = sorted(kb.relations)
             for r in rels:
                 for rh in rels:
                     score = kb.cooccurrence_score(r, rh)
@@ -385,7 +371,7 @@ class TestSelectContext:
         rng = random.Random(5)
         kb = random_kb(rng, 25, 5, 60)
         entity = sorted(kb.entities)[0]
-        rel = sorted(r for r in kb.relations if r != NOOP_RELATION)[0]
+        rel = sorted(kb.relations)[0]
         full = kb.select_context(entity, rel, 10**6)
         for size in range(len(full) + 1):
             assert kb.select_context(entity, rel, size) == full[:size]
