@@ -7,7 +7,6 @@ import json
 import logging
 import sys
 import time
-from pathlib import Path
 
 import click
 
@@ -21,6 +20,7 @@ from .completer import (CompletionQuery, NativeCompleter, RemoteCompleter, Snaps
 from .llm import LiveBackend, ScriptedBackend, ScriptMismatchError
 
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
+_RUN_DIR = click.Path(file_okay=False, path_type=joint_mod.RunDir)
 
 logger = logging.getLogger(__name__)
 
@@ -40,17 +40,10 @@ def _kb_paths(cfg: config_mod.RunConfig) -> list[str]:
     return [getattr(cfg, name) for name in names]
 
 
-def _write_triples(path, triples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in sorted(triples):
-            fh.write(f"{t.head}\t{t.relation}\t{t.tail}\n")
-
-
-def _working_kb(run_dir) -> kb_mod.KnowledgeBase:
-    paths = [Path(run_dir) / name for name in ("working_triples.tsv", "entities.tsv", "relations.tsv")]
-    if not all(p.exists() for p in paths):
-        raise click.UsageError(f"no prepared KB in {run_dir}; run `kbloop kb prepare` first")
-    return kb_mod.load_kb(*paths)
+def _working_kb(run_dir: joint_mod.RunDir) -> kb_mod.KnowledgeBase:
+    if not run_dir.prepared():
+        raise click.UsageError(f"no prepared KB in {run_dir.path}; run `kbloop kb prepare` first")
+    return run_dir.working_kb()
 
 
 def _backend(cfg, scripted):
@@ -73,21 +66,13 @@ def _completer(cfg, run_dir, kb):
             temperature=cfg.slm_temperature,
             max_context=cfg.max_context,
         )
-    return NativeCompleter.load(Path(run_dir) / "completer.npz", kb)
+    return run_dir.snapshot(kb)
 
 
 def _model(cfg, run_dir, kb):
     """The completer of :func:`_completer`, without a snapshot's joint-loop state."""
     completer = _completer(cfg, run_dir, kb)
     return completer.completer if isinstance(completer, Snapshot) else completer
-
-
-def _emit_report(run_dir, payload: dict) -> None:
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-    click.echo(text)
-    if run_dir:
-        with open(Path(run_dir) / "report.json", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
 
 
 class _Main(click.Group):
@@ -133,7 +118,7 @@ def kb():
 @click.option("--n-test", type=int, default=None)
 @click.option("--keep-fraction", type=float, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--run-dir", type=click.Path(), required=True)
+@click.option("--run-dir", type=_RUN_DIR, required=True)
 def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_fraction, seed, run_dir):
     """Load, split, and degrade the KB into a run directory."""
     cfg = _load_run_config(
@@ -149,15 +134,7 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
     except ValueError as exc:  # split sizes or keep_fraction that the KB cannot meet
         raise click.UsageError(str(exc)) from exc
 
-    out = Path(run_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_triples(out / "train.tsv", bundle.train)
-    _write_triples(out / "valid.tsv", bundle.valid)
-    _write_triples(out / "test.tsv", bundle.test)
-    _write_triples(out / "working_triples.tsv", working)
-    (out / "entities.tsv").write_bytes(Path(cfg.entities_path).read_bytes())
-    (out / "relations.tsv").write_bytes(Path(cfg.relations_path).read_bytes())
-    config_mod.snapshot(cfg, out)
+    run_dir.prepare(cfg, bundle, working)
     click.echo(
         f"prepared KB: train={len(bundle.train)} valid={len(bundle.valid)} "
         f"test={len(bundle.test)} working={len(working)}"
@@ -166,7 +143,7 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
 
 @main.command()
 @click.option("--config", "config_path", type=_INPUT_FILE, default=None)
-@click.option("--run-dir", type=click.Path(), required=True)
+@click.option("--run-dir", type=_RUN_DIR, required=True)
 def pretrain(config_path, run_dir):
     """Pretrain the completer on the prepared (degraded) training graph."""
     cfg = _load_run_config(config_path)
@@ -177,13 +154,13 @@ def pretrain(config_path, run_dir):
         completer = NativeCompleter(working_kb, dim=cfg.embedding_dim, seed=cfg.seed)
     started = time.perf_counter()
     completer.pretrain(working_kb.triples, working_kb, cfg.training)
-    joint_mod.RunLog(run_dir).restart(completer)
+    run_dir.restart(completer)
     click.echo(f"pretrained completer in {time.perf_counter() - started:.1f}s")
 
 
 @main.command("train-joint")
 @click.option("--config", "config_path", type=_INPUT_FILE, default=None)
-@click.option("--run-dir", type=click.Path(), required=True)
+@click.option("--run-dir", type=_RUN_DIR, required=True)
 @click.option("--qa", "qa_path", type=_INPUT_FILE, required=True, help="QA training set (JSONL).")
 @click.option("--scripted", type=_INPUT_FILE, default=None, help="Scripted chat transcript (JSONL).")
 @click.option("--resume", is_flag=True, help="Continue the log's current sweep after its last question.")
@@ -193,9 +170,9 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
     working_kb = _working_kb(run_dir)
     completer = _completer(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
-    qa_train = joint_mod.load_qa_examples(qa_path)
+    qa_train = joint_mod.load_qa_examples(qa_path, working_kb)
     result = joint_mod.run_joint_training(
-        run_dir,
+        run_dir.path,
         working_kb,
         qa_train,
         completer,
@@ -211,7 +188,7 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
 
 @main.command("eval-kbc")
 @click.option("--config", "config_path", type=_INPUT_FILE, default=None)
-@click.option("--run-dir", type=click.Path(), required=True)
+@click.option("--run-dir", type=_RUN_DIR, required=True)
 @click.option("--split", "split_name", type=click.Choice(["valid", "test"]), default="test")
 @click.option("--k", "ks", default="1,3,10", help="Comma-separated Hits@k cutoffs.")
 @click.option("--filtered", is_flag=True, help="Drop other known-true tails before ranking.")
@@ -228,17 +205,16 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
         raise click.UsageError(f"bad --k list: {ks!r} (each cutoff must be at least 1)")
     working_kb = _working_kb(run_dir)
     completer = _model(cfg, run_dir, working_kb)
-    split_path = Path(run_dir) / f"{split_name}.tsv"
-    split = kb_mod.read_triples(split_path, working_kb.entities, working_kb.relations)
+    split = run_dir.split(split_name, working_kb.entities, working_kb.relations)
     if not split:
-        raise click.UsageError(f"no query to evaluate in {split_path}")
+        raise click.UsageError(f"no query to evaluate in {run_dir.split_path(split_name)}")
     queries = split[:limit]
     # known-true tails of the queried (h, r) pairs only; unknown tails are ignored
     known_tails = {}
     if filtered:
         known_tails = {(q.head, q.relation): set() for q in queries}
         for name in ("train", "valid", "test"):
-            triples = split if name == split_name else kb_mod.read_triples(Path(run_dir) / f"{name}.tsv")
+            triples = split if name == split_name else run_dir.split(name)
             for h, r, t in triples:
                 if (h, r) in known_tails:
                     known_tails[h, r].add(t)
@@ -253,12 +229,12 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
     payload = result.to_dict()
     payload["split"] = split_name
     payload["filtered"] = filtered
-    _emit_report(run_dir, payload)
+    click.echo(run_dir.write_report(payload))
 
 
 @main.command()
 @click.option("--config", "config_path", type=_INPUT_FILE, default=None)
-@click.option("--run-dir", type=click.Path(), required=True)
+@click.option("--run-dir", type=_RUN_DIR, required=True)
 @click.option("--question", required=True)
 @click.option("--topic", default="", help="Comma-separated topic entity ids.")
 @click.option("--scripted", type=_INPUT_FILE, default=None)
@@ -282,7 +258,7 @@ def answer(config_path, run_dir, question, topic, scripted):
 
 @main.command("eval-kbqa")
 @click.option("--config", "config_path", type=_INPUT_FILE, default=None)
-@click.option("--run-dir", type=click.Path(), required=True)
+@click.option("--run-dir", type=_RUN_DIR, required=True)
 @click.option("--qa", "qa_path", type=_INPUT_FILE, required=True)
 @click.option("--scripted", type=_INPUT_FILE, default=None)
 def eval_kbqa(config_path, run_dir, qa_path, scripted):
@@ -293,13 +269,13 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
     working_kb = _working_kb(run_dir)
     completer = _model(cfg, run_dir, working_kb)
     backend = _backend(cfg, scripted)
-    examples = joint_mod.load_qa_examples(qa_path)
+    examples = joint_mod.load_qa_examples(qa_path, working_kb)
     if not examples:
         raise click.UsageError(f"no question to evaluate in {qa_path}")
 
-    # the efficiency averages come from the two numbers of each written record
-    final_answers, gold, costs, n_failed = [], [], [], 0
-    with open(Path(run_dir) / "kbqa_trajectories.jsonl", "w", encoding="utf-8") as fh:
+    final_answers, costs = [], []  # the report's inputs, gathered as each record is logged
+
+    def records():
         for position, ex in enumerate(examples):
             error = ""
             try:
@@ -309,39 +285,39 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
                 )
             except agent_mod.EpisodeAborted as exc:  # its trajectory has no final answer
                 trajectory, error = exc.trajectory, str(exc)
-                n_failed += 1
                 logger.warning("question %d failed: %s", position, error)
             record = trajectory.to_dict(include_timing=True)
             record["error"] = error
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-            costs.append({k: record[k] for k in ("llm_call_count", "wall_time_s")})
+            costs.append({k: record[k] for k in ("llm_call_count", "wall_time_s", "error")})
             final_answers.append(trajectory.final_answers)
-            gold.append(list(ex.gold_answers))
+            yield record
+
+    run_dir.write_kbqa_log(records())
     efficiency = metrics_mod.efficiency_report(costs)
     result = metrics_mod.KbqaEvalResult(
-        hits_at_1=metrics_mod.kbqa_hits_at_1(final_answers, gold),
+        hits_at_1=metrics_mod.kbqa_hits_at_1(final_answers, [list(ex.gold_answers) for ex in examples]),
         avg_llm_calls=efficiency["avg_llm_calls"],
         avg_seconds=efficiency["avg_seconds"],
         n_questions=efficiency["n_questions"],
-        n_failed=n_failed,
+        n_failed=sum(1 for cost in costs if cost["error"]),
     )
-    _emit_report(run_dir, result.to_dict())
+    click.echo(run_dir.write_report(result.to_dict()))
 
 
 @main.command()
-@click.option("--run-dir", type=click.Path(exists=True, file_okay=False), required=True)
+@click.option("--run-dir", type=_RUN_DIR, required=True)
 def report(run_dir):
     """Reprint the stored report and the joint question log's efficiency for
     a run."""
-    report_path = Path(run_dir) / "report.json"
-    if report_path.exists():
-        click.echo(report_path.read_text(encoding="utf-8").rstrip("\n"))
-    entries = joint_mod.RunLog(run_dir).entries()
+    stored = run_dir.read_report()
+    if stored is not None:
+        click.echo(stored)
+    entries = run_dir.entries()
     if entries:
         click.echo(json.dumps(metrics_mod.efficiency_report(entries),
                               ensure_ascii=False, sort_keys=True, indent=2))
-    elif not report_path.exists():
-        raise click.UsageError(f"nothing to report in {run_dir}")
+    elif stored is None:
+        raise click.UsageError(f"nothing to report in {run_dir.path}")
 
 
 if __name__ == "__main__":

@@ -439,25 +439,16 @@ class RemoteCompleter:
         self.trained = True  # service owns training state
 
     def _decode(self, query: CompletionQuery, kb: KnowledgeBase) -> dict[EntityId, float]:
-        reply = self._post(
-            "complete",
-            {
-                "sequence": build_input_sequence(kb, query, self.max_context),
-                "num_samples": self.r_samples,
-                "temperature": self.temperature,
-            },
-        )
+        reply = self._post("complete", {"sequence": build_input_sequence(kb, query, self.max_context),
+                                        "num_samples": self.r_samples, "temperature": self.temperature})
         try:
-            samples = reply["samples"]
-        except (TypeError, KeyError):
+            samples = [(str(sample["text"]), float(sample["logprob"])) for sample in reply["samples"]]
+        except (TypeError, KeyError, ValueError):
             raise CompleterTransportError(f"malformed completion response: {reply!r}") from None
         best: dict[EntityId, float] = {}
-        for sample in samples:
-            ids = kb.lookup_label(str(sample["text"]))
-            logprob = float(sample["logprob"])
-            for eid in ids:
-                if eid not in best or logprob > best[eid]:
-                    best[eid] = logprob
+        for text, logprob in samples:
+            for eid in kb.lookup_label(text):
+                best[eid] = max(logprob, best.get(eid, -math.inf))
         return best
 
     def tail_scores(self, query: CompletionQuery, kb: KnowledgeBase) -> np.ndarray:
@@ -475,7 +466,7 @@ class RemoteCompleter:
 
     def pretrain(self, train_triples, kb: KnowledgeBase, config: TrainingConfig | None = None) -> "RemoteCompleter":
         reply = self._post("pretrain", {"triples": _label_rows(kb, sorted(set(train_triples)))})
-        if reply.get("status") != "completed":
+        if not isinstance(reply, dict) or reply.get("status") != "completed":
             raise CompleterTransportError(f"pretraining did not complete: {reply!r}")
         return self
 
@@ -486,6 +477,6 @@ class RemoteCompleter:
             return self
         reply = self._post("finetune", {"triples": _label_rows(kb, path_triples),
                                         "replay": _label_rows(kb, replay)})
-        if reply.get("status") != "completed":
+        if not isinstance(reply, dict) or reply.get("status") != "completed":
             raise CompleterTransportError(f"fine-tuning did not complete: {reply!r}")
         return self

@@ -117,11 +117,3 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 def api_key() -> str:
     return os.environ.get(ENV_API_KEY, "")
-
-
-def snapshot(config: RunConfig, run_dir) -> None:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")

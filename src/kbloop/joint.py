@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import kb as kb_mod  # called through the module, whose readers perfbench wraps
 from .agent import AgentConfig, EpisodeAborted, run_episode
 from .completer import (CompleterTransportError, NativeCompleter, ReplayMemory, Snapshot,
                         TrainingConfig, TrainingError)
@@ -42,11 +43,12 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def load_qa_examples(path) -> list[QaExample]:
+def load_qa_examples(path, kb: KnowledgeBase) -> list[QaExample]:
     """One JSON object per line: a non-empty ``question`` string, a
     non-empty ``answers`` list of strings and an optional
-    ``topic_entities`` list of entity ids. A line that breaks this raises
-    :class:`KbLoadError` naming ``path:line`` and the key."""
+    ``topic_entities`` list of ``kb``'s entity ids. A line that breaks this
+    raises :class:`KbLoadError` naming ``path:line`` and the key or the
+    unknown id, before any question runs."""
     examples = []
     for lineno, record in read_jsonl(path):
         question, answers = record.get("question"), record.get("answers")
@@ -57,6 +59,9 @@ def load_qa_examples(path) -> list[QaExample]:
             raise KbLoadError(f"{path}:{lineno}: 'answers' must be a non-empty list of strings")
         if not _is_strings(topics):
             raise KbLoadError(f"{path}:{lineno}: 'topic_entities' must be a list of strings")
+        for topic in topics:
+            if topic not in kb.entities:
+                raise KbLoadError(f"{path}:{lineno}: unknown topic entity {topic!r}")
         examples.append(QaExample(question, tuple(topics), tuple(answers)))
     return examples
 
@@ -78,38 +83,73 @@ class JointResult:
     records: list[JointRecord] = field(default_factory=list)
 
 
-class RunLog:
-    """A joint run's persistent state in its run directory.
+class RunDir:
+    """A run directory: the one owner of its file names, its writes (all
+    through :mod:`.durable`) and its checked reads. Only writers create it.
 
-    * ``trajectories.jsonl`` is the write-ahead question log and the record
-      of truth: one line per question, appended and fsynced before the next
-      question starts. The line is the trajectory with its ``error``, its
-      reasoning ``path`` (``null`` when none was parsed), ``finetuned`` and
-      ``position``, the question's index in its sweep.
+    * :meth:`prepare` removes ``working_triples.tsv`` first and writes it last, after the
+      splits, the KB copies and ``config.json``: a cut-short one leaves no :meth:`prepared` KB.
+    * ``trajectories.jsonl`` is the joint loop's write-ahead question log and
+      the record of truth: one line per question, appended and fsynced before
+      the next question starts. The line is the trajectory with its
+      ``error``, its reasoning ``path`` (``null`` when none was parsed),
+      ``finetuned`` and ``position``, the question's index in its sweep.
     * ``completer.npz`` is a snapshot of a native completer, written by
       ``pretrain`` and at the end of each joint run, never per question. It
       also stores ``log_lines``, how many log lines it already includes, and
       the replay memory's RNG state (see :class:`Snapshot`).
     * ``paths.jsonl`` is a view of the log's paths, rewritten from the log
       at the end of each joint run.
-
-    Fine-tuning is deterministic given its triples and both RNG states, so
-    the snapshot plus the fine-tunes of the log lines after it rebuild the
-    completer exactly, with no chat call.
+    * ``kbqa_trajectories.jsonl`` is ``eval-kbqa``'s log, replaced whole
+      before ``report.json``, the last evaluation's report.
     """
 
-    def __init__(self, run_dir):
-        self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.trajectories_path = self.run_dir / "trajectories.jsonl"
-        self.paths_path = self.run_dir / "paths.jsonl"
-        self.checkpoint_path = self.run_dir / "completer.npz"
+    def __init__(self, path):
+        self.path = Path(path)
+        self.trajectories_path = self.path / "trajectories.jsonl"
+        self.paths_path = self.path / "paths.jsonl"
+        self.checkpoint_path = self.path / "completer.npz"
+        self.report_path = self.path / "report.json"
+        self._kb_paths = [self.path / name for name in ("working_triples.tsv", "entities.tsv", "relations.tsv")]
+
+    def split_path(self, name: str) -> Path:
+        """The file of split ``name``: ``train``, ``valid``, ``test`` or ``working_triples``."""
+        return self.path / f"{name}.tsv"
+
+    def prepare(self, config, bundle, working) -> None:
+        """Write ``bundle``'s splits, the KB files ``config`` names, ``config`` and ``working``."""
+        working_path, entities_path, relations_path = self._kb_paths
+        self.path.mkdir(parents=True, exist_ok=True)
+        working_path.unlink(missing_ok=True)
+        for name in ("train", "valid", "test"):
+            write_atomic(self.split_path(name), _triples_writer(getattr(bundle, name)))
+        write_atomic(entities_path, lambda fh: fh.write(Path(config.entities_path).read_bytes()))
+        write_atomic(relations_path, lambda fh: fh.write(Path(config.relations_path).read_bytes()))
+        write_atomic(self.path / "config.json", lambda fh: fh.write(_json_bytes(config.to_dict(), indent=2)))
+        write_atomic(working_path, _triples_writer(working))
+
+    def prepared(self) -> bool:
+        return all(path.exists() for path in self._kb_paths)
+
+    def working_kb(self) -> KnowledgeBase:
+        """The degraded KB that :meth:`prepare` wrote, read and checked."""
+        return kb_mod.load_kb(*self._kb_paths)
+
+    def split(self, name: str, entities=None, relations=None) -> list[Triple]:
+        """Split ``name``'s triples, their ids checked if ``entities`` and ``relations`` are given."""
+        return kb_mod.read_triples(self.split_path(name), entities, relations)
+
+    def snapshot(self, kb: KnowledgeBase) -> Snapshot:
+        """The completer snapshot, read and checked for ``kb``."""
+        return NativeCompleter.load(self.checkpoint_path, kb)
 
     def entries(self, writer: bool = False) -> list[dict]:
         """The log's lines, parsed from one read. A torn last line, one a
         crash cut short (or a live run is appending), is dropped: that
         question never ran. Only the ``writer``, the run that appends next,
-        also cuts it off the file."""
+        creates the directory and cuts the torn line off the file."""
+        if writer:
+            self.path.mkdir(parents=True, exist_ok=True)
         try:
             data = self.trajectories_path.read_bytes()
         except FileNotFoundError:
@@ -140,6 +180,7 @@ class RunLog:
         """Begin the run's history at a newly pretrained ``completer``: the
         log and its paths view are removed, then the snapshot is written as
         including no log line."""
+        self.path.mkdir(parents=True, exist_ok=True)
         self.trajectories_path.unlink(missing_ok=True)
         self.paths_path.unlink(missing_ok=True)
         if hasattr(completer, "save"):
@@ -163,11 +204,33 @@ class RunLog:
 
     def write_paths(self, entries) -> None:
         """Rewrite the paths view from the log's ``entries``."""
-        lines = "".join(
-            json.dumps(entry["path"], ensure_ascii=False, sort_keys=True) + "\n"
-            for entry in entries if entry["path"] is not None
-        )
-        write_atomic(self.paths_path, lambda fh: fh.write(lines.encode("utf-8")))
+        write_atomic(self.paths_path, lambda fh: fh.writelines(
+            _json_bytes(entry["path"]) for entry in entries if entry["path"] is not None))
+
+    def write_kbqa_log(self, records) -> None:
+        """Stream ``records`` into a new ``eval-kbqa`` log, in place once they are exhausted."""
+        write_atomic(self.path / "kbqa_trajectories.jsonl", lambda fh: fh.writelines(map(_json_bytes, records)))
+
+    def write_report(self, payload: dict) -> str:
+        """Replace the report with ``payload``; returns its text."""
+        data = _json_bytes(payload, indent=2)
+        write_atomic(self.report_path, lambda fh: fh.write(data))
+        return data.decode("utf-8").rstrip("\n")
+
+    def read_report(self) -> str | None:
+        """The stored report's text, or ``None`` when there is none."""
+        return self.report_path.read_text(encoding="utf-8").rstrip("\n") if self.report_path.exists() else None
+
+
+RunLog = RunDir  # the name perfbench wraps, until ROADMAP item 2 owns the instrument
+
+
+def _json_bytes(value, indent=None) -> bytes:
+    return (json.dumps(value, ensure_ascii=False, sort_keys=True, indent=indent) + "\n").encode("utf-8")
+
+
+def _triples_writer(triples):
+    return lambda fh: fh.writelines(f"{h}\t{r}\t{t}\n".encode("utf-8") for h, r, t in sorted(triples))
 
 
 def run_joint_training(
@@ -183,10 +246,10 @@ def run_joint_training(
     params: LlmParams | None = None,
 ) -> JointResult:
     """Run the loop over ``qa_train`` in input order, persisted in ``run_dir``;
-    see :class:`RunLog`.
+    see :class:`RunDir`.
 
     ``completer`` is a remote completer, or the :class:`Snapshot` of a native
-    one that ``pretrain`` or :meth:`RunLog.restart` wrote in ``run_dir``, as
+    one that ``pretrain`` or :meth:`RunDir.restart` wrote in ``run_dir``, as
     :meth:`NativeCompleter.load` reads it. The log is read once. The run
     first replays the log lines after the snapshot, so it continues from the
     end of the log. With ``resume`` it continues the log's current sweep: it
@@ -207,7 +270,7 @@ def run_joint_training(
     appended to the log before the next question starts. After a rollback
     the caller's completer object is stale; the result holds the current one.
     """
-    log = RunLog(run_dir)
+    log = RunDir(run_dir)
     agent_config = agent_config or AgentConfig()
     train_config = train_config or TrainingConfig()
     memory = ReplayMemory(kb.triples, seed=train_config.seed)
@@ -259,9 +322,7 @@ def run_joint_training(
             if not native:
                 raise
             error = str(exc)
-            completer = result.completer = log.replay(
-                NativeCompleter.load(log.checkpoint_path, kb), memory, finetune, entries
-            )
+            completer = result.completer = log.replay(log.snapshot(kb), memory, finetune, entries)
         if error:
             logger.warning("question %d skipped: %s", position, error)
         record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error,

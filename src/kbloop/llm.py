@@ -167,6 +167,14 @@ def post_json(
         delay *= 2
 
 
+def _message_text(data) -> str:
+    """A chat reply's message text; a reply of another shape raises, for a retry."""
+    text = data["choices"][0]["message"]["content"]
+    if not isinstance(text, str):
+        raise TypeError(f"reply content is {text!r}, not a string")
+    return text
+
+
 class LiveBackend:
     """Chat-completions client over an OpenAI-style JSON endpoint.
 
@@ -201,6 +209,6 @@ class LiveBackend:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
         return post_json(
             self.endpoint, payload, LlmTransportError, self.timeout,
-            parse=lambda data: data["choices"][0]["message"]["content"],
+            parse=_message_text,
             headers=headers, max_attempts=self.max_attempts, backoff_s=self.backoff_s,
         )

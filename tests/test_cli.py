@@ -84,7 +84,7 @@ class TestPrepare:
                                                ("working_triples.tsv", "entities.tsv", "relations.tsv")))
         ids = [rec.id for rec in records]
         assert set(ids) - {e for t in working for e in (t.head, t.tail)}, "every entity kept an edge"
-        kb = cli._working_kb(run_dir)
+        kb = cli._working_kb(joint_mod.RunDir(run_dir))
         assert sorted(kb.entities) == sorted(ids)
         assert all(rec.id in kb.lookup_label(rec.label) for rec in records)
         model = NativeCompleter.load(run_dir / "completer.npz", kb).completer
@@ -760,6 +760,103 @@ class TestMalformedInputs:
         assert str(checkpoint) in errors[0] and "`kbloop pretrain`" in errors[0]
         assert not (run_dir / "report.json").exists()
         assert not (run_dir / "trajectories.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["eval-kbqa", "train-joint"])
+    def test_unknown_topic_entity_is_named_before_any_question(self, workspace, command):
+        """The second QA line names a topic the KB lacks: the command stops
+        with one line naming it, and no question has run."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa, script = write_joint_inputs(tmp_path)
+        first = json.loads(qa.read_text(encoding="utf-8"))
+        with open(qa, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(dict(first, topic_entities=["nope"])) + "\n")
+        result = invoke(command, *cfg, "--qa", str(qa), "--scripted", str(script))
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines() == [f"Error: {qa}:2: unknown topic entity 'nope'"]
+        for name in ("trajectories.jsonl", "kbqa_trajectories.jsonl", "report.json"):
+            assert not (run_dir / name).exists()
+
+
+PREPARED_FILES = ["train.tsv", "valid.tsv", "test.tsv", "entities.tsv", "relations.tsv",
+                  "config.json", "working_triples.tsv"]
+
+
+class TestRunDirWrites:
+    """Every run-directory file is replaced atomically, and a command that
+    stops partway leaves nothing a later command accepts."""
+
+    @pytest.mark.parametrize("prepared", [False, True], ids=["fresh", "prepared"])
+    @pytest.mark.parametrize("failing", PREPARED_FILES)
+    def test_prepare_cut_short_leaves_no_prepared_kb(self, workspace, monkeypatch, failing, prepared):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace) if prepared else tmp_path / "run"
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        if prepared:
+            invoke("pretrain", *cfg)
+        written, write_atomic = [], joint_mod.write_atomic
+
+        def cut_short(path, write):
+            written.append(Path(path).name)
+            if written[-1] != failing:
+                return write_atomic(path, write)
+
+            def partial(fh):
+                fh.write(b"e0\t")
+                raise OSError(28, "No space left on device")
+            write_atomic(path, partial)
+
+        monkeypatch.setattr(joint_mod, "write_atomic", cut_short)
+        result = CliRunner().invoke(main, ["kb", "prepare", *cfg])
+        assert isinstance(result.exception, OSError), result.output
+        assert written == PREPARED_FILES[:PREPARED_FILES.index(failing) + 1]
+        monkeypatch.undo()
+        assert not [p.name for p in run_dir.iterdir() if p.name.startswith(".")]  # no temporary left
+
+        qa, script = write_joint_inputs(tmp_path)
+        for args in (["pretrain"], ["train-joint", "--qa", str(qa), "--scripted", str(script)],
+                     ["eval-kbc"], ["answer", "--question", "q?", "--scripted", str(script)],
+                     ["eval-kbqa", "--qa", str(qa), "--scripted", str(script)]):
+            result = CliRunner().invoke(main, [*args, *cfg])
+            assert result.exit_code == 2, (args, result.output)
+            assert "no prepared KB" in result.output
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_eval_kbqa_stopped_at_a_question_leaves_the_previous_log_and_report(
+            self, workspace, monkeypatch, k):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text("".join(
+            json.dumps({"question": f"q{i}?", "topic_entities": ["e0"], "answers": ["Entity 3"]})
+            + "\n" for i in range(3)), encoding="utf-8")
+        finish = "Thought 1: t.\nAction 1: Finish[Entity 3]"
+        script = tmp_path / "script.jsonl"
+        script.write_text("".join(json.dumps({"expect": f"q{i}?", "response": finish}) + "\n"
+                                  for i in range(3)), encoding="utf-8")
+        invoke("eval-kbqa", *cfg, "--qa", str(qa), "--scripted", str(script))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert {"kbqa_trajectories.jsonl", "report.json"} <= before.keys()
+
+        inner = ScriptedBackend([(f"q{i}?", finish) for i in range(3)])
+
+        class Crash(Exception):
+            pass
+
+        class CrashingBackend:
+            def chat(self, turns, params=None):
+                if f"q{k}?" in turns[-1].content:
+                    raise Crash(f"killed at question {k}")
+                return inner.chat(turns, params)
+
+        monkeypatch.setattr(cli, "_backend", lambda cfg, scripted: CrashingBackend())
+        result = CliRunner().invoke(main, ["eval-kbqa", *cfg, "--qa", str(qa)])
+        assert isinstance(result.exception, Crash), result.output
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
 class TestJointAndReport:

@@ -468,6 +468,32 @@ class TestRemoteCompleter:
         with pytest.raises(CompleterTransportError):
             remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 1)
 
+    @pytest.mark.parametrize("call, reply", [
+        ("pretrain", []),
+        ("pretrain", "x"),
+        ("pretrain", None),
+        ("finetune", []),
+        ("finetune", "x"),
+        ("finetune", None),
+        ("complete", {"samples": [1]}),
+        ("complete", {"samples": None}),
+        ("complete", {"samples": [{"logprob": -0.1}]}),
+        ("complete", {"samples": [{"text": "Jeremy Bieber"}]}),
+        ("complete", {"samples": [{"text": "Jeremy Bieber", "logprob": "high"}]}),
+    ])
+    def test_reply_of_another_shape_is_a_transport_error(self, bieber_kb, call, reply):
+        """A reply the service should never send is the transport error a
+        caller skips the question on, never a crash of the run."""
+        remote = RemoteCompleter(transport=lambda path, payload: reply)
+        triple = Triple("Q34086", "P22", "Q16004214")
+        with pytest.raises(CompleterTransportError):
+            if call == "pretrain":
+                remote.pretrain([triple], bieber_kb)
+            elif call == "finetune":
+                remote.incremental_finetune([triple], [], bieber_kb, TrainingConfig())
+            else:
+                remote.predict(CompletionQuery("Q34086", "P22"), bieber_kb, 1)
+
 
 class _CompletionHandler(BaseHTTPRequestHandler):
     samples = []

@@ -263,7 +263,7 @@ class TestPersistence:
             '{"question": "q?", "topic_entities": ["e0"], "answers": ["E5"]}\n',
             encoding="utf-8",
         )
-        examples = load_qa_examples(path)
+        examples = load_qa_examples(path, chain_kb())
         assert examples == [QaExample("q?", ("e0",), ("E5",))]
 
     def test_entries_read_the_log_once_with_the_jsonl_rules(self, tmp_path, monkeypatch):

@@ -72,6 +72,7 @@ class TestScriptedBackend:
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_first = 0
     seen_payloads = []
+    content = "pong"
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -83,7 +84,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         body = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": "pong"}}]}
+            {"choices": [{"message": {"role": "assistant", "content": type(self).content}}]}
         ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -99,6 +100,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
 def chat_server(loopback):
     _ChatHandler.fail_first = 0
     _ChatHandler.seen_payloads = []
+    _ChatHandler.content = "pong"
     server = loopback(_ChatHandler)
     return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
 
@@ -125,6 +127,15 @@ class TestLiveBackend:
         backend = LiveBackend(chat_server, model="m", max_attempts=3, backoff_s=0.01)
         with pytest.raises(LlmTransportError):
             backend.chat(turns("ping"))
+
+    @pytest.mark.parametrize("content", [None, 7, ["pong"], {"text": "pong"}])
+    def test_reply_content_that_is_not_text_is_retried_then_a_transport_error(
+            self, chat_server, content):
+        _ChatHandler.content = content
+        backend = LiveBackend(chat_server, model="m", max_attempts=2, backoff_s=0.01)
+        with pytest.raises(LlmTransportError, match="not a string"):
+            backend.chat(turns("ping"))
+        assert len(_ChatHandler.seen_payloads) == 2
 
     def test_unreachable(self):
         backend = LiveBackend("http://127.0.0.1:9/x", model="m", max_attempts=2,
