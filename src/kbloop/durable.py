@@ -14,7 +14,7 @@ def _sync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def write_atomic(path, write) -> None:
+def write_atomic(path, write, sync: bool = True) -> None:
     """Replace ``path`` with what ``write(fh)`` writes to a binary file.
 
     The bytes go to a temporary file beside ``path``, are fsynced, and then
@@ -22,19 +22,24 @@ def write_atomic(path, write) -> None:
     old file or the new one, never a partial one. The temporary name ends in
     the target's suffix, since ``np.savez`` appends ``.npz`` to a name that
     lacks it.
+
+    With ``sync`` false nothing is fsynced: a process that stops partway
+    still leaves the old file or the new one, an operating-system crash may not.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp{path.suffix}")
     try:
         with open(tmp, "wb") as fh:
             write(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
+            if sync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _sync_dir(path.parent)
+    if sync:
+        _sync_dir(path.parent)
 
 
 def append_line(path, line: str) -> None:

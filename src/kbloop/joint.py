@@ -101,7 +101,8 @@ class RunDir:
     * ``paths.jsonl`` is a view of the log's paths, rewritten from the log
       at the end of each joint run.
     * ``kbqa_trajectories.jsonl`` is ``eval-kbqa``'s log, replaced whole
-      before ``report.json``, the last evaluation's report.
+      before ``report.json``, the last evaluation's report; no command builds
+      on either and a rerun regenerates both, so neither is fsynced.
     """
 
     def __init__(self, path):
@@ -209,12 +210,13 @@ class RunDir:
 
     def write_kbqa_log(self, records) -> None:
         """Stream ``records`` into a new ``eval-kbqa`` log, in place once they are exhausted."""
-        write_atomic(self.path / "kbqa_trajectories.jsonl", lambda fh: fh.writelines(map(_json_bytes, records)))
+        write_atomic(self.path / "kbqa_trajectories.jsonl", lambda fh: fh.writelines(map(_json_bytes, records)),
+                     sync=False)
 
     def write_report(self, payload: dict) -> str:
         """Replace the report with ``payload``; returns its text."""
         data = _json_bytes(payload, indent=2)
-        write_atomic(self.report_path, lambda fh: fh.write(data))
+        write_atomic(self.report_path, lambda fh: fh.write(data), sync=False)
         return data.decode("utf-8").rstrip("\n")
 
     def read_report(self) -> str | None:

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from kbloop import cli
+from kbloop import durable as durable_mod
 from kbloop import joint as joint_mod
 from kbloop import kb as kb_mod
 from kbloop.cli import main
@@ -857,6 +858,23 @@ class TestRunDirWrites:
         result = CliRunner().invoke(main, ["eval-kbqa", *cfg, "--qa", str(qa)])
         assert isinstance(result.exception, Crash), result.output
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_evaluations_replace_their_outputs_without_fsync(self, workspace, monkeypatch):
+        tmp_path, config_path = workspace
+        synced = []
+        monkeypatch.setattr(durable_mod.os, "fsync", lambda fd: synced.append(fd))
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        assert synced  # the working graph and the snapshot are fsynced
+        synced.clear()
+        qa, script = write_joint_inputs(tmp_path)
+        for args in (["eval-kbc"], ["eval-kbqa", "--qa", str(qa), "--scripted", str(script)]):
+            result = invoke(*args, *cfg)
+            assert result.exit_code == 0, result.output
+        assert synced == []
+        assert {"kbqa_trajectories.jsonl", "report.json"} <= {p.name for p in run_dir.iterdir()}
+        assert not [p.name for p in run_dir.iterdir() if p.name.startswith(".")]
 
 
 class TestJointAndReport:
