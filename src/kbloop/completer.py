@@ -106,7 +106,6 @@ class ReplayMemory:
 
     def __init__(self, pool, seed: int = 0):
         self.pool: list[Triple] = sorted(set(pool))
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def sample(self, n: int) -> list[Triple]:
@@ -114,18 +113,6 @@ class ReplayMemory:
         if n >= len(self.pool):
             return list(self.pool)
         return self._rng.sample(self.pool, n)
-
-    def get_state(self) -> str:
-        """The sampler's RNG state as a JSON string."""
-        return json.dumps(self._rng.getstate())
-
-    def set_state(self, state: str) -> None:
-        """Restore a :meth:`get_state` value; an empty one is the seeded start."""
-        if not state:
-            self._rng.seed(self.seed)
-            return
-        version, internal, gauss_next = json.loads(state)
-        self._rng.setstate((version, tuple(internal), gauss_next))
 
 
 def top_k(scores: np.ndarray, entity_ids, k: int) -> list[RankedPrediction]:
@@ -324,11 +311,10 @@ class NativeCompleter:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path, log_lines: int = 0, replay_rng_state: str = "") -> None:
-        """Write the model and the joint loop's state beside it (see
-        :class:`Snapshot`; the defaults are a run's start) to ``path``
-        atomically, with no pickled object. Ids and both RNG states are
-        unicode string arrays."""
+    def save(self, path, log_lines: int = 0) -> None:
+        """Write the model and ``log_lines`` beside it (see :class:`Snapshot`;
+        the default is a run's start) to ``path`` atomically, with no pickled
+        object. Ids and the RNG state are unicode string arrays."""
         arrays = {
             "entity_ids": np.array(self.entity_ids, dtype=str),
             "relation_ids": np.array(self.relation_ids, dtype=str),
@@ -337,7 +323,6 @@ class NativeCompleter:
             "trained": np.array([self.trained]),
             "rng_state": np.array(json.dumps(self._rng.bit_generator.state, default=int)),
             "log_lines": np.array(log_lines),
-            "replay_rng_state": np.array(replay_rng_state),
         }
         write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
@@ -360,10 +345,8 @@ class NativeCompleter:
                 model.trained = bool(data["trained"][0])
                 rng_state = json.loads(str(data["rng_state"]))
                 log_lines = int(data["log_lines"])
-                replay = str(data["replay_rng_state"])
             model._rng = np.random.default_rng()
             model._rng.bit_generator.state = rng_state
-            ReplayMemory(()).set_state(replay)  # raises for a state that does not restore
         except FileNotFoundError:
             raise SnapshotError(f"no completer checkpoint {path}; run `kbloop pretrain` first") from None
         except (OSError, EOFError, zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError) as exc:
@@ -383,16 +366,17 @@ class NativeCompleter:
         model._ent_index = kb.entity_index
         model._rel_index = {r: i for i, r in enumerate(model.relation_ids)}
         model.loss_history = []
-        return Snapshot(model, log_lines, replay)
+        return Snapshot(model, log_lines)
 
 
 class Snapshot(NamedTuple):
-    """A native completer and the joint loop's state saved beside it: the
-    question-log lines it includes and the replay RNG state (empty: seeded)."""
+    """A completer and how many question-log lines it includes: a native
+    one as :meth:`NativeCompleter.load` read it, or a remote one, whose
+    service holds every line. The replay sampler's state is not stored; the
+    joint loop redraws it from the log."""
 
-    completer: NativeCompleter
+    completer: NativeCompleter | RemoteCompleter
     log_lines: int = 0
-    replay_rng_state: str = ""
 
 
 def _http_transport(endpoint: str, timeout: float):

@@ -96,8 +96,8 @@ class RunDir:
       ``finetuned`` and ``position``, the question's index in its sweep.
     * ``completer.npz`` is a snapshot of a native completer, written by
       ``pretrain`` and at the end of each joint run, never per question. It
-      also stores ``log_lines``, how many log lines it already includes, and
-      the replay memory's RNG state (see :class:`Snapshot`).
+      also stores ``log_lines``, how many log lines it already includes. The
+      replay sampler's state is not stored; :meth:`replay` redraws it.
     * ``paths.jsonl`` is a view of the log's paths, rewritten from the log
       at the end of each joint run.
     * ``kbqa_trajectories.jsonl`` is ``eval-kbqa``'s log, replaced whole
@@ -172,10 +172,9 @@ class RunDir:
         append_line(self.trajectories_path, json.dumps(entry, ensure_ascii=False, sort_keys=True))
         return entry
 
-    def save_checkpoint(self, completer, memory: ReplayMemory, log_lines: int) -> None:
-        """Snapshot ``completer`` and ``memory`` as including ``log_lines``
-        lines of the log."""
-        completer.save(self.checkpoint_path, log_lines=log_lines, replay_rng_state=memory.get_state())
+    def save_checkpoint(self, completer, log_lines: int) -> None:
+        """Snapshot ``completer`` as including ``log_lines`` lines of the log."""
+        completer.save(self.checkpoint_path, log_lines=log_lines)
 
     def restart(self, completer) -> None:
         """Begin the run's history at a newly pretrained ``completer``: the
@@ -187,20 +186,22 @@ class RunDir:
         if hasattr(completer, "save"):
             completer.save(self.checkpoint_path)
 
-    def replay(self, snapshot: Snapshot, memory: ReplayMemory, finetune, entries):
-        """Bring the ``snapshot``'s completer and ``memory`` to the end of the
-        log's ``entries``: restore the snapshot's replay RNG state, then
-        ``finetune(completer, triples)`` for each entry after the snapshot
-        that was fine-tuned on. Returns the completer."""
+    def replay(self, snapshot: Snapshot, finetune, entries):
+        """Bring the ``snapshot``'s completer, and the replay sampler behind
+        ``finetune``, to the end of the log's ``entries``: for each entry that
+        was fine-tuned on, in log order, ``finetune(model, triples)``, where
+        ``model`` is ``None`` for an entry the snapshot includes (its replay
+        sample is only redrawn) and the completer for the rest. Returns the
+        completer."""
         if snapshot.log_lines > len(entries):
             raise RunLogError(
                 f"{self.checkpoint_path} includes {snapshot.log_lines} question log lines, but "
                 f"{self.trajectories_path} has {len(entries)}; run `kbloop pretrain` again"
             )
-        memory.set_state(snapshot.replay_rng_state)
-        for entry in entries[snapshot.log_lines:]:
+        for line, entry in enumerate(entries):
             if entry["finetuned"]:
-                finetune(snapshot.completer, [Triple(*t) for t in entry["path"]["triples"]])
+                model = snapshot.completer if line >= snapshot.log_lines else None
+                finetune(model, [Triple(*t) for t in entry["path"]["triples"]])
         return snapshot.completer
 
     def write_paths(self, entries) -> None:
@@ -253,11 +254,15 @@ def run_joint_training(
     ``completer`` is a remote completer, or the :class:`Snapshot` of a native
     one that ``pretrain`` or :meth:`RunDir.restart` wrote in ``run_dir``, as
     :meth:`NativeCompleter.load` reads it. The log is read once. The run
-    first replays the log lines after the snapshot, so it continues from the
-    end of the log. With ``resume`` it continues the log's current sweep: it
-    skips the questions of ``qa_train`` up to the position of the log's last
-    line, not those of earlier sweeps. A remote completer's service owns its
-    training state, so for it the log only tells where the sweep continues.
+    first replays it (:meth:`RunDir.replay`): the replay sampler, seeded
+    with ``train_config.seed``, redraws the samples of every logged
+    fine-tune, and the completer is fine-tuned on the lines after the
+    snapshot, so the run continues from the end of the log. A remote
+    completer's service owns its training state and already holds every
+    logged line, so for it the replay only redraws. With ``resume`` the run
+    continues the log's current sweep: it skips the questions of
+    ``qa_train`` up to the position of the log's last line, not those of
+    earlier sweeps.
 
     A fine-tune adds ``train_config.replay_samples_per_triple`` replay triples
     per path triple, sampled from ``kb.triples``, the pretraining set. Every
@@ -267,7 +272,7 @@ def run_joint_training(
     the completer's ``predict`` or fine-tune, skips the question: it is
     logged with its error, and the loop continues. So does a native
     fine-tune whose loss turns non-finite: the completer and the replay
-    memory are rolled back to before that fine-tune by re-reading the
+    sampler are rolled back to before that fine-tune by re-reading the
     snapshot, with its checks, and replaying the log. Each question's line is
     appended to the log before the next question starts. After a rollback
     the caller's completer object is stale; the result holds the current one.
@@ -275,16 +280,21 @@ def run_joint_training(
     log = RunDir(run_dir)
     agent_config = agent_config or AgentConfig()
     train_config = train_config or TrainingConfig()
-    memory = ReplayMemory(kb.triples, seed=train_config.seed)
+    memory = None
 
-    def finetune(model, triples):  # the one replay draw, the log replay's fine-tunes included
+    def finetune(model, triples):  # the one replay draw; with no model it is only redrawn
         replay = memory.sample(len(triples) * train_config.replay_samples_per_triple)
-        model.incremental_finetune(triples, replay, kb, train_config)
+        if model is not None:
+            model.incremental_finetune(triples, replay, kb, train_config)
+
+    def rebuild(snapshot):  # from a fresh sampler, so the log alone sets its state
+        nonlocal memory
+        memory = ReplayMemory(kb.triples, seed=train_config.seed)
+        return log.replay(snapshot, finetune, entries)
 
     native = isinstance(completer, Snapshot)
     entries = log.entries(writer=True)  # cuts a torn last line before any append
-    if native:
-        completer = log.replay(completer, memory, finetune, entries)
+    completer = rebuild(completer if native else Snapshot(completer, len(entries)))
     start = 0
     if resume and entries:  # after the position of the log's last line
         if "position" not in entries[-1]:
@@ -324,7 +334,7 @@ def run_joint_training(
             if not native:
                 raise
             error = str(exc)
-            completer = result.completer = log.replay(log.snapshot(kb), memory, finetune, entries)
+            completer = result.completer = rebuild(log.snapshot(kb))
         if error:
             logger.warning("question %d skipped: %s", position, error)
         record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error,
@@ -333,7 +343,7 @@ def run_joint_training(
         entries.append(log.append(record))
 
     if native:
-        log.save_checkpoint(result.completer, memory, len(entries))
+        log.save_checkpoint(result.completer, len(entries))
     log.write_paths(entries)
     logger.info(
         "joint training over %d questions in %.1fs",

@@ -420,10 +420,13 @@ def split(triples, n_valid: int, n_test: int, seed: int) -> SplitBundle:
 
 def degrade(train, keep_fraction: float, seed: int) -> set[Triple]:
     """Randomly keep ``keep_fraction`` of the distinct training edges, and
-    add none. Rounding is half-up. Deterministic under ``seed``."""
+    add none. Rounding is half-up. Deterministic under ``seed``. Raises
+    ``ValueError`` when that keeps no edge."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     # sorted() is linear on an already sorted split; groupby drops repeats
     pool = [t for t, _ in itertools.groupby(sorted(train))]
     keep_n = int(keep_fraction * len(pool) + 0.5)
+    if keep_n == 0:
+        raise ValueError(f"keep_fraction {keep_fraction} keeps none of the {len(pool)} training edges")
     return set(random.Random(seed).sample(pool, keep_n))

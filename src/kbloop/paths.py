@@ -11,10 +11,11 @@ for a completer built over the same KB.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .agent import AgentConfig, SurfaceTriple, TemplateChat, Trajectory, parse_triple_lines
+from .agent import AgentConfig, BudgetExhausted, SurfaceTriple, TemplateChat, Trajectory, parse_triple_lines
 from .kb import KnowledgeBase, Triple, normalize_label
 from .llm import LlmParams
 
@@ -127,7 +128,8 @@ def parse_reasoning_paths(
 ) -> ReasoningPath:
     """Extract the question's reasoning path from a train-mode trajectory,
     with one ``path_select`` call to the chat backend ``llm`` at ``params``.
-    The call counts against the question's ceiling, ``config.call_budget``.
+    The call counts against the question's ceiling, ``config.call_budget``,
+    and is recorded in the trajectory's ``template_calls``.
 
     Returns an empty path (and skips the fine-tune) when no answer was
     verified, no witness connects a topic entity to a verified answer, or
@@ -157,7 +159,7 @@ def parse_reasoning_paths(
     subgraph = build_subgraph(pool)
 
     topics = [kb.label_of(e) for e in trajectory.topic_entities]
-    witness_triples: list[SurfaceTriple] = []
+    witness_triples: list[SurfaceTriple] = []  # with repeats; candidates drops them
     witness_nodes: set[str] = set()
     reached = False
     for topic in topics:
@@ -168,9 +170,8 @@ def parse_reasoning_paths(
             reached = True
             witness_nodes.add(normalize_label(topic))
             witness_nodes.add(normalize_label(answer))
+            witness_triples.extend(witness)
             for t in witness:
-                if t not in witness_triples:
-                    witness_triples.append(t)
                 witness_nodes.add(normalize_label(t.head))
                 witness_nodes.add(normalize_label(t.tail))
     if not reached:
@@ -180,29 +181,24 @@ def parse_reasoning_paths(
     # the model sees the whole pooled subgraph, ordered witness first, then
     # one-hop expansions of on-path entities, then the rest; selection is
     # constrained to this pool
-    candidates = list(witness_triples)
-    for node in sorted(witness_nodes):
-        for t in subgraph.incident(node):
-            if t not in candidates:
-                candidates.append(t)
-    for t in subgraph.triples:
-        if t not in candidates:
-            candidates.append(t)
+    expansions = (t for node in sorted(witness_nodes) for t in subgraph.incident(node))
+    candidates = list(dict.fromkeys(itertools.chain(witness_triples, expansions, subgraph.triples)))
 
-    calls_left = (config or AgentConfig()).call_budget - trajectory.llm_call_count
-    if calls_left < 1:
+    chat = TemplateChat(llm, params, max_calls=(config or AgentConfig()).call_budget)
+    chat.template_calls = trajectory.template_calls  # the episode's calls count, and this one is logged
+    try:
+        reply = chat(
+            "path_select",
+            {
+                "question": trajectory.question,
+                "answers": " | ".join(trajectory.verified_answers),
+                "topic_entities": " | ".join(topics),
+                "known_triples": "\n".join(t.as_text() for t in candidates),
+            },
+        )
+    except BudgetExhausted:
         path.notes.append("call budget exhausted before path_select; empty path")
         return path
-    chat = TemplateChat(llm, params, max_calls=calls_left)
-    reply = chat(
-        "path_select",
-        {
-            "question": trajectory.question,
-            "answers": " | ".join(trajectory.verified_answers),
-            "topic_entities": " | ".join(topics),
-            "known_triples": "\n".join(t.as_text() for t in candidates),
-        },
-    )
     by_key = {
         (normalize_label(t.head), normalize_label(t.relation), normalize_label(t.tail)): t
         for t in candidates

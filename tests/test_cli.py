@@ -153,6 +153,17 @@ class TestPrepare:
         assert key in result.output
         assert not (tmp_path / "r").exists()
 
+    def test_degradation_that_keeps_no_edge_exits_2(self, workspace):
+        """50 training edges at 0.005 round to none: refused before anything is written."""
+        tmp_path, config_path = workspace
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "r"),
+                   "--keep-fraction", "0.005"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "keeps none of the 50 training edges" in result.output
+        assert not (tmp_path / "r").exists()
+
     def test_https_endpoints_are_accepted(self, workspace):
         tmp_path, config_path = workspace
         config = json.loads(config_path.read_text(encoding="utf-8"))
@@ -669,8 +680,6 @@ def _rewrite_snapshot(checkpoint, edit):
 SNAPSHOT_DAMAGE = {
     "cut_short": lambda c: c.write_bytes(c.read_bytes()[: c.stat().st_size // 2]),
     "no_log_lines": lambda c: _rewrite_snapshot(c, lambda a: a.pop("log_lines", None)),
-    "replay_rng_state_not_json": lambda c: _rewrite_snapshot(
-        c, lambda a: a.update(replay_rng_state=np.array("[3, [1, 2"))),
     "rows_do_not_match_ids": lambda c: _rewrite_snapshot(
         c, lambda a: a.update(entity_vecs=a["entity_vecs"][:-1])),
     # as pretrained when the store still reserved a `noop` relation
@@ -742,10 +751,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["eval-kbc", "train-joint"])
     @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
     def test_damaged_snapshot(self, workspace, damage, command):
-        """A snapshot that is cut short, lacks a key, holds a replay RNG state
-        that does not parse, has a row count that does not match its ids, or
-        has a relation the KB lacks is refused in one line naming it, with
-        exit code 2."""
+        """A snapshot that is cut short, lacks a key, has a row count that
+        does not match its ids, or has a relation the KB lacks is refused in
+        one line naming it, with exit code 2."""
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
         cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]

@@ -351,17 +351,14 @@ class TestCheckpoint:
         model = NativeCompleter(kb, dim=8, seed=2)
         model.pretrain(sorted(kb.triples), kb, TrainingConfig(epochs=2, seed=2))
         path = tmp_path / "model.npz"
-        memory = ReplayMemory(sorted(kb.triples), seed=5)
-        memory.sample(2)
-        model.save(path, log_lines=3, replay_rng_state=memory.get_state())
+        model.save(path, log_lines=3)
         with np.load(path, allow_pickle=False) as data:
             assert data["entity_ids"].dtype.kind == "U"
             assert data["relation_ids"].dtype.kind == "U"
             assert data["rng_state"].dtype.kind == "U"
-            assert data["replay_rng_state"].dtype.kind == "U"
             assert int(data["log_lines"]) == 3
-        loaded, log_lines, replay_rng_state = NativeCompleter.load(path, kb)
-        assert (log_lines, replay_rng_state) == (3, memory.get_state())
+        loaded, log_lines = NativeCompleter.load(path, kb)
+        assert log_lines == 3
         assert loaded.entity_ids == model.entity_ids
         assert loaded.relation_ids == model.relation_ids
         assert loaded._rng.random() == model._rng.random()
@@ -382,20 +379,6 @@ class TestCheckpoint:
             model.save(path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
-
-
-class TestReplayMemoryState:
-    def test_state_roundtrip_and_seeded_start(self):
-        memory = ReplayMemory([Triple(f"e{i}", "r", f"e{i + 1}") for i in range(30)], seed=4)
-        start = memory.get_state()
-        first = memory.sample(5)
-        state = memory.get_state()
-        second = memory.sample(5)
-        memory.set_state(state)
-        assert memory.sample(5) == second
-        memory.set_state("")
-        assert memory.get_state() == start
-        assert memory.sample(5) == first
 
 
 class StubTransport:

@@ -192,6 +192,21 @@ class TestTrainJoint:
         assert record.path.triples == []
         assert record.path.notes == ["call budget exhausted before path_select; empty path"]
 
+    def test_the_log_counts_path_select(self, tmp_path):
+        """A question's line records every chat call it made, path_select's included."""
+        kb = chain_kb()
+        config = TrainingConfig(epochs=5, seed=0)
+        model = pretrained(tmp_path, kb, sorted(kb.triples), 16, config)
+        backend = CrashingBackend(generate_episode_script("E0", "E5"))  # counts calls
+        run_joint_training(
+            tmp_path, kb, [QaExample("q one?", ("e0",), ("E5",))], Snapshot(model), backend,
+            train_config=config,
+        )
+        [line] = RunLog(tmp_path).entries()
+        assert line["finetuned"]
+        assert line["template_calls"][-1] == "path_select"
+        assert line["llm_call_count"] == len(line["template_calls"]) == backend.calls == 5
+
     @pytest.mark.parametrize(
         "failing_call, failing_method, script",
         [
@@ -345,8 +360,7 @@ class TestPersistence:
             replay = memory.sample(len(triples) * config.replay_samples_per_triple)
             m.incremental_finetune(triples, replay, kb, config)
 
-        replayed = log.replay(NativeCompleter.load(log.checkpoint_path, kb), memory, finetune,
-                              log.entries())
+        replayed = log.replay(NativeCompleter.load(log.checkpoint_path, kb), finetune, log.entries())
         assert_float32(replayed)
         assert np.array_equal(replayed.entity_vecs, model.entity_vecs)
 
@@ -383,6 +397,35 @@ class TestPersistence:
         assert [e["position"] for e in log.entries()] == [0, 1, 2]
         assert not log.checkpoint_path.exists()
         assert requests == ["finetune"] * 3
+
+
+    def test_resumed_remote_run_sends_the_uninterrupted_replay(self, tmp_path):
+        """The replay sampler is redrawn from the log, so a remote run resumed
+        after 2 of 4 questions sends the replay samples an uninterrupted run sends."""
+        kb = chain_kb(40)  # 39 pool triples, 10 replay draws per path triple
+        qa = [QaExample(f"q {i}?", (f"e{i}",), (f"E{i + 5}",)) for i in range(4)]
+        scripts = [generate_episode_script(f"E{i}", f"E{i + 5}") for i in range(4)]
+
+        def replays(stops):  # each run resumes the sweep and stops before question ``stop``
+            sent = []
+
+            def transport(path, payload):
+                sent.append(payload["replay"])
+                return {"status": "completed"}
+
+            run_dir = tmp_path / f"run{len(stops)}"
+            for start, stop in zip([0, *stops], stops):
+                run_joint_training(
+                    run_dir, kb, qa[:stop], RemoteCompleter(transport=transport),
+                    ScriptedBackend(sum(scripts[start:stop], [])), resume=True,
+                    train_config=TrainingConfig(seed=0),
+                )
+            assert len(RunLog(run_dir).entries()) == 4
+            return sent
+
+        whole = replays([4])
+        assert len(whole) == 4 and len({json.dumps(r) for r in whole}) == 4
+        assert replays([2, 4]) == whole
 
 
 class Crash(Exception):
@@ -586,9 +629,30 @@ class TestWriteAheadLog:
         lines = runs["whole"][2]
         assert [line["finetuned"] for line in lines] == [i != index for i in range(self.N)]
         got_arrays = runs["whole"][1]
-        for name in ("entity_vecs", "relation_vecs", "rng_state", "replay_rng_state"):
+        for name in ("entity_vecs", "relation_vecs", "rng_state"):
             assert np.array_equal(got_arrays[name], want_arrays[name]), name
         self.assert_same(runs["resumed"], runs["whole"])
+
+    def test_a_snapshot_that_stores_the_replay_state_still_loads(self, tmp_path, reference):
+        """Snapshots used to store the replay sampler's RNG state as well. One
+        with that key loads, the log redraws the same state, and the run
+        continued from it ends as the uninterrupted one, without the key."""
+        run_dir = tmp_path / "run"
+        self.start(run_dir)
+        qa, scripts = self.sweep()
+        self.run(run_dir, qa[:2], sum(scripts[:2], []))
+        kb, _, config = self.setup
+        memory = ReplayMemory(kb.triples, seed=config.seed)
+        for entry in RunLog(run_dir).entries():
+            memory.sample(len(entry["path"]["triples"]) * config.replay_samples_per_triple)
+        checkpoint = run_dir / "completer.npz"
+        with np.load(checkpoint, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(checkpoint, **arrays, replay_rng_state=np.array(json.dumps(memory._rng.getstate())))
+        self.run(run_dir, qa, sum(scripts[2:], []), resume=True)
+        self.assert_same(self.outcome(run_dir), reference)
+        assert sorted(reference[1]) == ["entity_ids", "entity_vecs", "log_lines", "relation_ids",
+                                        "relation_vecs", "rng_state", "trained"]
 
     def test_rollback_rereads_the_snapshot_with_its_checks(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"

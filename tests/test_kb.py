@@ -214,10 +214,14 @@ class TestDegrade:
         for given in (tuple(train), set(train), shuffled, tuple(shuffled)):
             assert degrade(given, 0.3, seed=2) == want
 
-    def test_bad_fraction(self):
+    @pytest.mark.parametrize("fraction, message", [
+        (0.0, "must be in"),
+        (0.1, "keeps none of the 1 training edges"),
+    ])
+    def test_bad_fraction(self, fraction, message):
         kb = make_kb([("a", "r", "b")])
-        with pytest.raises(ValueError):
-            degrade(sorted(kb.triples), 0.0, 1)
+        with pytest.raises(ValueError, match=message):
+            degrade(sorted(kb.triples), fraction, 1)
 
 
 class TestNeighbors:
