@@ -114,8 +114,7 @@ class Observation:
             raise ValueError("observation must carry either triples or answers")
 
     def render_lines(self) -> list[str]:
-        if self.verified_answers is not None:
-            return [" | ".join(self.verified_answers) if self.verified_answers else "none"]
+        """A Search, Generate or Complete observation's lines for the transcript."""
         lines = [t.as_text() for t in self.triples]
         lines.extend(self.notes)
         return lines or ["none"]

@@ -182,7 +182,7 @@ def train_joint_cmd(config_path, run_dir, qa_path, scripted, resume):
         train_config=cfg.training,
         params=cfg.llm_params(),
     )
-    finetuned = sum(1 for r in result.records if r.finetuned)
+    finetuned = sum(1 for line in result.records if line["finetuned"])
     click.echo(f"joint training done: {len(result.records)} questions, {finetuned} fine-tune updates")
 
 
@@ -225,11 +225,9 @@ def eval_kbc(config_path, run_dir, split_name, ks, filtered, limit):
         scores = completer.tail_scores(CompletionQuery(q.head, q.relation), working_kb)
         excluded = [index[e] for e in known_tails.get((q.head, q.relation), ()) if e in index]
         ranks.append(metrics_mod.tail_rank(scores, index[q.tail], excluded))
-    result = metrics_mod.kbc_eval(ranks, ks=tuple(cutoffs))
-    payload = result.to_dict()
-    payload["split"] = split_name
-    payload["filtered"] = filtered
-    click.echo(run_dir.write_report(payload))
+    report = metrics_mod.kbc_eval(ranks, ks=tuple(cutoffs))
+    report.update(split=split_name, filtered=filtered)
+    click.echo(run_dir.write_report(report))
 
 
 @main.command()
@@ -273,35 +271,21 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
     if not examples:
         raise click.UsageError(f"no question to evaluate in {qa_path}")
 
-    final_answers, costs = [], []  # the report's inputs, gathered as each record is logged
-
-    def records():
-        for position, ex in enumerate(examples):
-            error = ""
-            try:
-                trajectory = agent_mod.run_episode(
-                    ex.question, list(ex.topic_entities), working_kb, completer, backend,
-                    config=cfg.agent, params=cfg.llm_params(),
-                )
-            except agent_mod.EpisodeAborted as exc:  # its trajectory has no final answer
-                trajectory, error = exc.trajectory, str(exc)
-                logger.warning("question %d failed: %s", position, error)
-            record = trajectory.to_dict(include_timing=True)
-            record["error"] = error
-            costs.append({k: record[k] for k in ("llm_call_count", "wall_time_s", "error")})
-            final_answers.append(trajectory.final_answers)
-            yield record
-
-    run_dir.write_kbqa_log(records())
-    efficiency = metrics_mod.efficiency_report(costs)
-    result = metrics_mod.KbqaEvalResult(
-        hits_at_1=metrics_mod.kbqa_hits_at_1(final_answers, [list(ex.gold_answers) for ex in examples]),
-        avg_llm_calls=efficiency["avg_llm_calls"],
-        avg_seconds=efficiency["avg_seconds"],
-        n_questions=efficiency["n_questions"],
-        n_failed=sum(1 for cost in costs if cost["error"]),
-    )
-    click.echo(run_dir.write_report(result.to_dict()))
+    lines = []
+    for position, ex in enumerate(examples):
+        error = ""
+        try:
+            trajectory = agent_mod.run_episode(
+                ex.question, list(ex.topic_entities), working_kb, completer, backend,
+                config=cfg.agent, params=cfg.llm_params(),
+            )
+        except agent_mod.EpisodeAborted as exc:  # its trajectory has no final answer
+            trajectory, error = exc.trajectory, str(exc)
+            logger.warning("question %d failed: %s", position, error)
+        lines.append(run_dir.line(trajectory, error))
+    run_dir.write_kbqa_log(lines)
+    report = metrics_mod.kbqa_eval(lines, [list(ex.gold_answers) for ex in examples])
+    click.echo(run_dir.write_report(report))
 
 
 @main.command()

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import kb as kb_mod  # called through the module, whose readers perfbench wraps
@@ -23,7 +23,7 @@ from .completer import (CompleterTransportError, NativeCompleter, ReplayMemory, 
 from .durable import append_line, write_atomic
 from .kb import KbLoadError, KnowledgeBase, Triple, parse_jsonl, read_jsonl
 from .llm import LlmParams, LlmTransportError
-from .paths import ReasoningPath, parse_reasoning_paths
+from .paths import parse_reasoning_paths
 
 logger = logging.getLogger(__name__)
 
@@ -67,20 +67,9 @@ def load_qa_examples(path, kb: KnowledgeBase) -> list[QaExample]:
 
 
 @dataclass
-class JointRecord:
-    """Per-question outcome of the joint loop."""
-
-    trajectory: object
-    path: ReasoningPath | None
-    finetuned: bool
-    error: str = ""
-    position: int = 0  # the question's index in its sweep
-
-
-@dataclass
 class JointResult:
     completer: object
-    records: list[JointRecord] = field(default_factory=list)
+    records: list[dict]  # the log lines this run appended, in order
 
 
 class RunDir:
@@ -90,18 +79,17 @@ class RunDir:
     * :meth:`prepare` removes ``working_triples.tsv`` first and writes it last, after the
       splits, the KB copies and ``config.json``: a cut-short one leaves no :meth:`prepared` KB.
     * ``trajectories.jsonl`` is the joint loop's write-ahead question log and
-      the record of truth: one line per question, appended and fsynced before
-      the next question starts. The line is the trajectory with its
-      ``error``, its reasoning ``path`` (``null`` when none was parsed),
-      ``finetuned`` and ``position``, the question's index in its sweep.
+      the record of truth: one :meth:`line` per question, appended and
+      fsynced before the next question starts.
     * ``completer.npz`` is a snapshot of a native completer, written by
       ``pretrain`` and at the end of each joint run, never per question. It
       also stores ``log_lines``, how many log lines it already includes. The
       replay sampler's state is not stored; :meth:`replay` redraws it.
     * ``paths.jsonl`` is a view of the log's paths, rewritten from the log
       at the end of each joint run.
-    * ``kbqa_trajectories.jsonl`` is ``eval-kbqa``'s log, replaced whole
-      before ``report.json``, the last evaluation's report; no command builds
+    * ``kbqa_trajectories.jsonl`` is ``eval-kbqa``'s log, one :meth:`line` per
+      question, written once every question has run, and replaced whole before
+      ``report.json``, the last evaluation's report; no command builds
       on either and a rerun regenerates both, so neither is fsynced.
     """
 
@@ -162,15 +150,23 @@ class RunDir:
                 os.truncate(self.trajectories_path, end)
         return [record for _, record in parse_jsonl(data[:end].split(b"\n"), self.trajectories_path)]
 
-    def append(self, record: JointRecord) -> dict:
-        """Append ``record``'s line to the log; returns the line's entry."""
-        entry = record.trajectory.to_dict(include_timing=True)
-        entry["error"] = record.error
-        entry["finetuned"] = record.finetuned
-        entry["position"] = record.position
-        entry["path"] = record.path.to_dict() if record.path is not None else None
-        append_line(self.trajectories_path, json.dumps(entry, ensure_ascii=False, sort_keys=True))
-        return entry
+    @staticmethod
+    def line(trajectory, error: str = "", *, position: int | None = None, path=None,
+             finetuned: bool = False) -> dict:
+        """One question's line, in either log: the trajectory with its timing
+        and its ``error`` (empty when none). A joint line, one with a
+        ``position`` (the question's index in its sweep), also holds its
+        reasoning ``path`` (``null`` when none was parsed) and ``finetuned``."""
+        line = trajectory.to_dict(include_timing=True)
+        line["error"] = error
+        if position is not None:
+            line.update(position=position, path=path.to_dict() if path is not None else None,
+                        finetuned=finetuned)
+        return line
+
+    def append(self, line: dict) -> None:
+        """Append ``line`` to the joint log and fsync it."""
+        append_line(self.trajectories_path, json.dumps(line, ensure_ascii=False, sort_keys=True))
 
     def save_checkpoint(self, completer, log_lines: int) -> None:
         """Snapshot ``completer`` as including ``log_lines`` lines of the log."""
@@ -209,9 +205,9 @@ class RunDir:
         write_atomic(self.paths_path, lambda fh: fh.writelines(
             _json_bytes(entry["path"]) for entry in entries if entry["path"] is not None))
 
-    def write_kbqa_log(self, records) -> None:
-        """Stream ``records`` into a new ``eval-kbqa`` log, in place once they are exhausted."""
-        write_atomic(self.path / "kbqa_trajectories.jsonl", lambda fh: fh.writelines(map(_json_bytes, records)),
+    def write_kbqa_log(self, lines) -> None:
+        """Replace the ``eval-kbqa`` log with ``lines``."""
+        write_atomic(self.path / "kbqa_trajectories.jsonl", lambda fh: fh.writelines(map(_json_bytes, lines)),
                      sync=False)
 
     def write_report(self, payload: dict) -> str:
@@ -307,7 +303,7 @@ def run_joint_training(
         qa_train = list(qa_train)[start:]
 
     started = time.perf_counter()
-    result = JointResult(completer=completer)
+    first = len(entries)
     for position, example in enumerate(qa_train, start=start):
         path, error, finetuned = None, "", False
         try:
@@ -330,23 +326,20 @@ def run_joint_training(
             trajectory, error = exc.trajectory, str(exc)
         except (LlmTransportError, CompleterTransportError) as exc:  # path_select, a remote fine-tune
             error = str(exc)
-        except TrainingError as exc:
-            if not native:
-                raise
+        except TrainingError as exc:  # only a native completer's
             error = str(exc)
-            completer = result.completer = rebuild(log.snapshot(kb))
+            completer = rebuild(log.snapshot(kb))
         if error:
             logger.warning("question %d skipped: %s", position, error)
-        record = JointRecord(trajectory=trajectory, path=path, finetuned=finetuned, error=error,
-                             position=position)
-        result.records.append(record)
-        entries.append(log.append(record))
+        line = log.line(trajectory, error, position=position, path=path, finetuned=finetuned)
+        log.append(line)
+        entries.append(line)
 
     if native:
-        log.save_checkpoint(result.completer, len(entries))
+        log.save_checkpoint(completer, len(entries))
     log.write_paths(entries)
     logger.info(
         "joint training over %d questions in %.1fs",
-        len(result.records), time.perf_counter() - started,
+        len(entries) - first, time.perf_counter() - started,
     )
-    return result
+    return JointResult(completer, entries[first:])

@@ -4,43 +4,10 @@ over trajectory records."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kb import normalize_label
-
-
-@dataclass(frozen=True)
-class KbcEvalResult:
-    mrr: float
-    hits_at: dict
-    n_queries: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "hits_at": {str(k): v for k, v in sorted(self.hits_at.items())},
-            "n_queries": self.n_queries,
-        }
-
-
-@dataclass(frozen=True)
-class KbqaEvalResult:
-    hits_at_1: float
-    avg_llm_calls: float
-    avg_seconds: float
-    n_questions: int
-    n_failed: int  # questions a transport failure aborted, counted as misses
-
-    def to_dict(self) -> dict:
-        return {
-            "hits_at_1": self.hits_at_1,
-            "avg_llm_calls": self.avg_llm_calls,
-            "avg_seconds": self.avg_seconds,
-            "n_questions": self.n_questions,
-            "n_failed": self.n_failed,
-        }
 
 
 def tail_rank(scores, gold: int, excluded=()) -> int:
@@ -84,13 +51,15 @@ def hits_at_k(ranks, k: int) -> float:
     return sum(1 for rank in ranks if 0 < rank <= k) / len(ranks)
 
 
-def kbc_eval(ranks, ks=(1, 3, 10)) -> KbcEvalResult:
+def kbc_eval(ranks, ks=(1, 3, 10)) -> dict:
+    """The ``eval-kbc`` report of ``ranks``: MRR, Hits@k for each of ``ks``
+    (keyed by ``str(k)``) and the query count."""
     ranks = list(ranks)
-    return KbcEvalResult(
-        mrr=mrr(ranks),
-        hits_at={k: hits_at_k(ranks, k) for k in ks},
-        n_queries=len(ranks),
-    )
+    return {
+        "mrr": mrr(ranks),
+        "hits_at": {str(k): hits_at_k(ranks, k) for k in sorted(ks)},
+        "n_queries": len(ranks),
+    }
 
 
 def kbqa_hits_at_1(final_answers, gold) -> float:
@@ -106,6 +75,17 @@ def kbqa_hits_at_1(final_answers, gold) -> float:
         if any(normalize_label(a) in gold_keys for a in answers):
             score += 1
     return score / len(final_answers)
+
+
+def kbqa_eval(lines, gold) -> dict:
+    """The ``eval-kbqa`` report of its log ``lines``, one per question of
+    ``gold`` (its gold answer lists) in order: Hits@1, the efficiency averages
+    and ``n_failed``, the questions a transport failure aborted (counted as
+    misses)."""
+    report = efficiency_report(lines)
+    report["hits_at_1"] = kbqa_hits_at_1([line["final_answers"] for line in lines], gold)
+    report["n_failed"] = sum(1 for line in lines if line["error"])
+    return report
 
 
 def efficiency_report(records) -> dict:

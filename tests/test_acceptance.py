@@ -447,12 +447,12 @@ def test_joint_loop_over_degraded_kb(tmp_path):
 
     assert len(result.records) == 10
     for record in result.records:
-        assert record.trajectory.stop_reason == "finish"
-        assert record.trajectory.verified_answers, "scripted finish should verify"
-        assert record.finetuned
-        assert record.path is not None and record.path.triples
-        for t in record.path.triples:
-            assert t.relation in working.relations
+        assert record["stop_reason"] == "finish"
+        assert record["verified_answers"], "scripted finish should verify"
+        assert record["finetuned"]
+        assert record["path"] is not None and record["path"]["triples"]
+        for _, relation, _ in record["path"]["triples"]:
+            assert relation in working.relations
 
     improved = sum(
         1 for t in injected if _mean_rank(model, working, [t]) < ranks_before[t]

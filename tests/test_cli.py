@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,10 @@ class TestPrepare:
         (["--keep-fraction", "0"], "keep_fraction"),
         (["--keep-fraction", "1.5"], "keep_fraction"),
         (["--n-valid", "55", "--n-test", "5"], "n_valid + n_test"),
-    ], ids=["keep_nothing", "keep_more_than_all", "held_out_all"])
+        (["--n-valid", "-1"], "split sizes must be non-negative"),
+        (["--n-test", "-1"], "split sizes must be non-negative"),
+    ], ids=["keep_nothing", "keep_more_than_all", "held_out_all", "n_valid_negative",
+            "n_test_negative"])
     def test_bad_split_is_usage_error(self, workspace, flags, named):
         tmp_path, config_path = workspace
         result = CliRunner().invoke(
@@ -192,6 +196,20 @@ class TestPrepare:
         )
         assert result.exit_code == 2, result.output
         assert f"Error: {named}" in result.output
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{not json", "is not valid JSON"),
+        ('["seed", 3]', "must hold a flat JSON object"),
+    ], ids=["not_json", "not_object"])
+    def test_bad_config_file_is_usage_error(self, workspace, text, problem):
+        tmp_path, config_path = workspace
+        config_path.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["kb", "prepare", "--config", str(config_path), "--run-dir", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"Error: config file {config_path} {problem}" in result.output
         assert not (tmp_path / "r").exists()
 
 
@@ -402,7 +420,8 @@ class TestPretrainAndEval:
         (["--limit", "-2"], "--limit"),
         (["--k", "0"], "--k"),
         (["--k", "1,0,3"], "--k"),
-    ], ids=["limit_zero", "limit_negative", "k_zero", "k_list_with_zero"])
+        (["--k", "1,x"], "--k"),
+    ], ids=["limit_zero", "limit_negative", "k_zero", "k_list_with_zero", "k_not_integer"])
     def test_bad_flag_is_usage_error(self, workspace, flags, named):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
@@ -725,7 +744,21 @@ class TestMalformedInputs:
         ("relations.tsv", None, "relations.tsv: No such file or directory"),
         ("triples.tsv", b"e0\tr0\te3\ne1\tr0\te\xff4\n", "triples.tsv:2: not valid UTF-8"),
         ("entities.tsv", b"e0\tEntity 0\n\ne1\tEnt\xc3ty 1\n", "entities.tsv:3: not valid UTF-8"),
-    ], ids=["triples_missing", "relations_missing", "triples_not_utf8", "entities_not_utf8"])
+        ("entities.tsv", b"e0\tEntity 0\n\n \t \ne0\tEntity again\n",
+         "entities.tsv:4: duplicate entity id 'e0'"),
+        ("entities.tsv", b"e0\t\n", "entities.tsv:1: empty label for entity 'e0'"),
+        ("entities.tsv", b"e0\n",
+         "entities.tsv:1: malformed entity line (expected 2-3 tab-separated fields, got 1)"),
+        ("relations.tsv", b"r0\trel 0\nr0\trel again\n", "relations.tsv:2: duplicate relation id 'r0'"),
+        ("relations.tsv", b"r0\t\n", "relations.tsv:1: empty label for relation 'r0'"),
+        ("relations.tsv", b"r0\ta\tb\tc\td\n",
+         "relations.tsv:1: malformed relation line (expected 2-4 tab-separated fields, got 5)"),
+        ("triples.tsv", b"\n  \ne0\tr0\n",
+         "triples.tsv:3: malformed triple line (expected 3 tab-separated fields, got 2)"),
+    ], ids=["triples_missing", "relations_missing", "triples_not_utf8", "entities_not_utf8",
+            "entity_duplicate_after_blank_lines", "entity_empty_label", "entity_field_count",
+            "relation_duplicate", "relation_empty_label", "relation_field_count",
+            "triple_field_count_after_blank_lines"])
     def test_kb_prepare_input(self, workspace, name, content, named):
         tmp_path, config_path = workspace
         path = tmp_path / name
@@ -1035,15 +1068,18 @@ class TestJointAndReport:
         assert result.exit_code == 0, result.output
         assert "0 questions" in result.output
 
-    def test_eval_kbqa_goes_on_after_an_aborted_question(self, workspace, monkeypatch):
-        """The second of three questions meets a transport failure: it is
-        logged with its error and counted as a miss, and the third runs."""
+    @pytest.mark.parametrize("topics", [["e0"], []], ids=["agent", "cot"])
+    def test_eval_kbqa_goes_on_after_an_aborted_question(self, workspace, monkeypatch, topics):
+        """The second of three questions meets a transport failure, in the
+        agent's first call or, with no topic entity, in its ``cot`` call: it
+        is logged with its error and counted as a miss, and the third runs."""
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
         invoke("pretrain", "--config", str(config_path), "--run-dir", str(run_dir))
         qa = tmp_path / "qa.jsonl"
         qa.write_text("".join(
-            json.dumps({"question": f"q{i}?", "topic_entities": ["e0"], "answers": ["Entity 3"]})
+            json.dumps({"question": f"q{i}?", "topic_entities": topics if i == 1 else ["e0"],
+                        "answers": ["Entity 3"]})
             + "\n" for i in range(3)), encoding="utf-8")
         finish = "Thought 1: t.\nAction 1: Finish[Entity 3]"
         inner = ScriptedBackend([("q0?", finish), ("q2?", finish)])
@@ -1088,9 +1124,86 @@ class TestJointAndReport:
         assert "dropping the torn last line" in caplog.text
         assert log.read_bytes() == before
 
+    def test_report_prints_the_stored_report_before_the_joint_averages(self, workspace):
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa, script = write_joint_inputs(tmp_path)
+        invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        stored = invoke("eval-kbc", *cfg).output
+
+        result = invoke("report", "--run-dir", str(run_dir))
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(stored)
+        averages = json.loads(result.output[len(stored):])
+        assert averages.keys() == {"avg_llm_calls", "avg_seconds", "n_questions"}
+        assert averages["n_questions"] == 1
+
     def test_report_empty_dir_is_usage_error(self, tmp_path):
         result = CliRunner().invoke(main, ["report", "--run-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+
+class _CompleterService(BaseHTTPRequestHandler):
+    """A completer service that records each request as ``(path, payload)``
+    in ``requests`` and answers every ``complete`` with one sample, Entity 3."""
+
+    requests: list
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.requests.append((self.path.lstrip("/"), payload))
+        if self.path == "/complete":
+            reply = {"samples": [{"text": "Entity 3", "logprob": -0.1}]}
+        else:
+            reply = {"status": "completed"}
+        body = json.dumps(reply).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestRemoteCompleter:
+    def test_pretrain_train_joint_and_eval_kbc_against_a_service(self, workspace, loopback):
+        """With ``completer_endpoint`` set, the service is the completer:
+        ``pretrain`` posts the working graph's label rows and writes no
+        snapshot, and a fine-tune posts its path with its replay draw."""
+        tmp_path, config_path = workspace
+        service = type("Service", (_CompleterService,), {"requests": []})
+        server = loopback(service)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["completer_endpoint"] = f"http://127.0.0.1:{server.server_port}"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+
+        result = invoke("pretrain", *cfg)
+        assert result.exit_code == 0, result.output
+        working = (run_dir / "working_triples.tsv").read_text(encoding="utf-8").splitlines()
+        rows = [[f"Entity {h[1:]}", f"rel {r[1:]}", f"Entity {t[1:]}"]
+                for h, r, t in (line.split("\t") for line in working)]
+        assert service.requests == [("pretrain", {"triples": rows})]
+        assert not (run_dir / "completer.npz").exists()
+
+        service.requests.clear()
+        qa, script = write_joint_inputs(tmp_path)
+        result = invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script))
+        assert result.exit_code == 0, result.output
+        assert "1 questions, 1 fine-tune updates" in result.output
+        finetunes = [payload for path, payload in service.requests if path == "finetune"]
+        assert [payload["triples"] for payload in finetunes] == [[["Entity 0", "rel 0", "Entity 9"]]]
+        assert len(finetunes[0]["replay"]) == 1 * RunConfig().training.replay_samples_per_triple
+        assert not (run_dir / "completer.npz").exists()
+
+        result = invoke("eval-kbc", *cfg)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["n_queries"] == 5
 
 
 class TestFixedVocabulary:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kbloop.agent import AgentConfig
 from kbloop.completer import (
     CompleterTransportError,
     CompletionQuery,
@@ -86,8 +87,8 @@ class TestTrainJoint:
             train_config=config,
         )
         assert len(result.records) == 2
-        assert all(r.finetuned for r in result.records)
-        assert [len(r.path.triples) for r in result.records] == [1, 1]
+        assert all(r["finetuned"] for r in result.records)
+        assert [len(r["path"]["triples"]) for r in result.records] == [1, 1]
 
     def test_one_path_triple_draws_ten_replay(self, tmp_path, monkeypatch):
         """The loop draws the replay, ``replay_samples_per_triple`` (10) per
@@ -107,7 +108,7 @@ class TestTrainJoint:
             tmp_path, kb, [QaExample("q one?", ("e0",), ("E5",))], Snapshot(model),
             ScriptedBackend(generate_episode_script("E0", "E5")), train_config=config,
         )
-        assert [len(r.path.triples) for r in result.records] == [1]
+        assert [len(r["path"]["triples"]) for r in result.records] == [1]
         assert batches == [11]
 
     def test_injected_triple_rank_improves(self, tmp_path, monkeypatch):
@@ -155,7 +156,7 @@ class TestTrainJoint:
             tmp_path, kb, [QaExample("q?", ("e0",), ("E5",))], Snapshot(model), backend,
             train_config=config,
         )
-        assert not result.records[0].finetuned
+        assert not result.records[0]["finetuned"]
         assert np.array_equal(model.entity_vecs, before)
 
     def test_topicless_question_routed_to_fallback(self, tmp_path):
@@ -168,8 +169,27 @@ class TestTrainJoint:
             train_config=TrainingConfig(epochs=5, seed=0),
         )
         record = result.records[0]
-        assert record.trajectory.stop_reason == "cot"
-        assert record.path is None and not record.finetuned
+        assert record["stop_reason"] == "cot"
+        assert record["path"] is None and not record["finetuned"]
+
+    def test_episode_stopped_at_max_steps_yields_an_empty_path(self, tmp_path):
+        """An episode that never finishes parses no path: the line notes it,
+        and the completer is not fine-tuned."""
+        kb = chain_kb()
+        config = TrainingConfig(epochs=5, seed=0)
+        model = pretrained(tmp_path, kb, sorted(kb.triples), 16, config)
+        backend = ScriptedBackend([("", "Thought: still thinking.")] * 2)  # no action, twice
+        before = model.entity_vecs.copy()
+        result = run_joint_training(
+            tmp_path, kb, [QaExample("q?", ("e0",), ("E5",))], Snapshot(model), backend,
+            agent_config=AgentConfig(max_thoughts=1), train_config=config,
+        )
+        record = result.records[0]
+        assert record["stop_reason"] == "max_steps"
+        assert record["path"]["triples"] == []
+        assert record["path"]["notes"] == ["no verified finish; empty path"]
+        assert not record["error"] and not record["finetuned"]
+        assert np.array_equal(model.entity_vecs, before)
 
     def test_path_select_runs_inside_the_call_ceiling(self, tmp_path):
         """An episode that spends all 20 calls and then finishes verified
@@ -185,12 +205,12 @@ class TestTrainJoint:
             train_config=config,
         )
         record = result.records[0]
-        assert record.trajectory.llm_call_count == 20
-        assert record.trajectory.verified_answers == ["E5"]
+        assert record["llm_call_count"] == 20
+        assert record["verified_answers"] == ["E5"]
         assert backend.calls == 20
-        assert not record.error and not record.finetuned
-        assert record.path.triples == []
-        assert record.path.notes == ["call budget exhausted before path_select; empty path"]
+        assert not record["error"] and not record["finetuned"]
+        assert record["path"]["triples"] == []
+        assert record["path"]["notes"] == ["call budget exhausted before path_select; empty path"]
 
     def test_the_log_counts_path_select(self, tmp_path):
         """A question's line records every chat call it made, path_select's included."""
@@ -264,11 +284,11 @@ class TestTrainJoint:
             FlakyBackend(),
             train_config=TrainingConfig(epochs=5, seed=0, finetune_passes=2),
         )
-        assert result.records[0].error
+        assert result.records[0]["error"]
         # only a failed fine-tune comes after a parsed path
-        assert (result.records[0].path is None) == (failing_method != "incremental_finetune")
-        assert not result.records[0].finetuned
-        assert result.records[1].finetuned
+        assert (result.records[0]["path"] is None) == (failing_method != "incremental_finetune")
+        assert not result.records[0]["finetuned"]
+        assert result.records[1]["finetuned"]
 
 
 class TestPersistence:
@@ -349,7 +369,7 @@ class TestPersistence:
             run_dir, kb, qa, Snapshot(model), ScriptedBackend(generate_episode_script("E0", "E5")),
             train_config=config,
         )
-        assert result.records[0].finetuned
+        assert result.records[0]["finetuned"]
         assert_float32(model)
         assert_float32(NativeCompleter.load(log.checkpoint_path, kb).completer)
 
@@ -384,7 +404,7 @@ class TestPersistence:
             train_config=TrainingConfig(seed=0),
         )
         log = RunLog(run_dir)
-        assert [r.finetuned for r in result.records] == [True, True]
+        assert [r["finetuned"] for r in result.records] == [True, True]
         assert [e["question"] for e in log.entries()] == ["q 0?", "q 1?"]
         assert not log.checkpoint_path.exists()
         assert requests == ["finetune", "finetune"]
@@ -393,7 +413,7 @@ class TestPersistence:
             run_dir, kb, qa, remote, ScriptedBackend(scripts[2]), resume=True,
             train_config=TrainingConfig(seed=0),
         )
-        assert [r.trajectory.question for r in result.records] == ["q 2?"]
+        assert [r["question"] for r in result.records] == ["q 2?"]
         assert [e["position"] for e in log.entries()] == [0, 1, 2]
         assert not log.checkpoint_path.exists()
         assert requests == ["finetune"] * 3
@@ -540,7 +560,7 @@ class TestWriteAheadLog:
         with pytest.raises(Crash):  # the second sweep is killed as its question 1 starts
             self.run(run_dir, qa, sum(scripts, []), crash_at=self.CALLS + 1)
         result = self.run(run_dir, qa, sum(scripts[1:], []), resume=True)
-        assert [r.trajectory.question for r in result.records] == [ex.question for ex in qa[1:]]
+        assert [r["question"] for r in result.records] == [ex.question for ex in qa[1:]]
         self.assert_same(self.outcome(run_dir), self.outcome(want))
         positions = [line["position"] for line in self.outcome(run_dir)[2]]
         assert positions == list(range(self.N)) * 2
@@ -624,8 +644,8 @@ class TestWriteAheadLog:
                 self.run(run_dir, qa, [], resume=True)
             runs[name] = self.outcome(run_dir)
 
-        assert "non-finite loss" in result.records[index].error
-        assert [r.finetuned for r in result.records] == [i != index for i in range(self.N)]
+        assert "non-finite loss" in result.records[index]["error"]
+        assert [r["finetuned"] for r in result.records] == [i != index for i in range(self.N)]
         lines = runs["whole"][2]
         assert [line["finetuned"] for line in lines] == [i != index for i in range(self.N)]
         got_arrays = runs["whole"][1]

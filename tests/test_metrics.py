@@ -101,8 +101,8 @@ class TestHitsAtK:
         rankings = [rng.sample(entities, 25) for _ in range(60)]
         gold = [rng.choice(entities) for _ in range(60)]
         result = kbc_eval(ranks_of(rankings, gold))
-        assert result.hits_at[1] <= result.hits_at[3] <= result.hits_at[10]
-        assert result.mrr >= result.hits_at[1]
+        assert result["hits_at"]["1"] <= result["hits_at"]["3"] <= result["hits_at"]["10"]
+        assert result["mrr"] >= result["hits_at"]["1"]
 
 
 def protocol_rank(completer, kb, triple, known):

@@ -69,6 +69,6 @@ def test_traced_run_reads_k_and_the_path_triples_where_the_program_passes_them(t
         )
     finally:
         rec.restore()
-    assert [len(r.path.triples) for r in result.records] == [1]
+    assert [len(r["path"]["triples"]) for r in result.records] == [1]
     assert [s.info for s in rec.named("completer.predict")] == [3]
     assert [s.info for s in rec.named("completer.finetune")] == [1]
