@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .completer import CompleterTransportError, CompletionQuery
 from .kb import KnowledgeBase, normalize_label
 from .llm import ChatTurn, LlmParams, LlmTransportError
 from .prompts import get_template, render
 from .retrieval import RelationLinkError, link_relation, retrieve_related_triples
-
-ACTION_KINDS = ("search", "generate", "complete", "finish")
 
 _THOUGHT_RE = re.compile(r"(?im)^\s*thought(?:\s*\d+)?\s*:\s*(.*)$")
 _ACTION_RE = re.compile(r"(?im)^\s*action(?:\s*\d+)?\s*:\s*(.*)$")
@@ -66,10 +64,9 @@ class AgentConfig:
     max_generate_context: int = 8  # prior triples shown to generation
 
     def __post_init__(self):
-        for name in ("max_thoughts", "max_calls_per_step", "complete_top_k",
-                     "relations_per_search", "max_search_triples", "max_generate_context"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive")
 
     @property
     def call_budget(self) -> int:
@@ -113,12 +110,6 @@ class Observation:
         if (self.triples is None) == (self.verified_answers is None):
             raise ValueError("observation must carry either triples or answers")
 
-    def render_lines(self) -> list[str]:
-        """A Search, Generate or Complete observation's lines for the transcript."""
-        lines = [t.as_text() for t in self.triples]
-        lines.extend(self.notes)
-        return lines or ["none"]
-
 
 @dataclass
 class TrajectoryStep:
@@ -159,8 +150,8 @@ class Trajectory:
     def llm_call_count(self) -> int:
         return len(self.template_calls)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        record = {
+    def to_dict(self) -> dict:
+        return {
             "question": self.question,
             "topic_entities": list(self.topic_entities),
             "mode": self.mode,
@@ -172,10 +163,8 @@ class Trajectory:
             "template_calls": list(self.template_calls),
             "stop_reason": self.stop_reason,
             "notes": list(self.notes),
+            "wall_time_s": round(self.wall_time_s, 6),
         }
-        if include_timing:
-            record["wall_time_s"] = round(self.wall_time_s, 6)
-        return record
 
     def observation_triples(self) -> list[SurfaceTriple]:
         out = []
@@ -221,7 +210,7 @@ def parse_action(text: str) -> AgentAction:
     if kind == "generate":
         return AgentAction(kind, (raw,))
     parts = tuple(p.strip() for p in raw.split("|") if p.strip())
-    if kind in ("search", "complete", "finish") and not parts:
+    if not parts:
         raise ActionParseError(f"{kind} action needs a payload: {text!r}")
     if kind == "complete" and len(parts) != 2:
         raise ActionParseError(f"complete action needs entity and relation: {text!r}")
@@ -266,9 +255,9 @@ def _resolve_surface(surface, thought, kb, llm, notes) -> str | None:
         return ids[0]
     candidates = "\n".join(f"{eid}: {kb.entity(eid).description or kb.label_of(eid)}" for eid in ids)
     reply = llm("entity_select", {"thought": thought, "entity_name": surface, "candidates": candidates})
-    hits = [(reply.find(eid), eid) for eid in ids if eid in reply]
-    if hits:
-        return min(hits)[1]
+    named = [eid for eid in ids if eid in reply]
+    if named:  # the first id the reply names; at one position, the longest
+        return min(named, key=lambda eid: (reply.find(eid), -len(eid)))
     notes.append(f"ambiguous entity {surface}: defaulted to {ids[0]}")
     return ids[0]
 
@@ -416,13 +405,13 @@ def exec_finish(answers, gold_answers=None) -> Observation:
 def cot_fallback(question: str, chat: TemplateChat) -> list[str]:
     """Single chain-of-thought call for questions without topic entities."""
     reply = chat("cot", {"question": question})
-    for line in reversed([ln.strip() for ln in reply.splitlines() if ln.strip()]):
+    lines = [ln.strip() for ln in reply.splitlines() if ln.strip()]
+    for line in reversed(lines):
         m = re.match(r"(?i)^answer\s*:\s*(.*)$", line)
         if m:
             answers = [a.strip() for a in m.group(1).split("|") if a.strip()]
             return answers or ["unknown"]
-    lines = [ln.strip() for ln in reply.splitlines() if ln.strip()]
-    return [lines[-1]] if lines else ["unknown"]
+    return lines[-1:] or ["unknown"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +419,9 @@ def cot_fallback(question: str, chat: TemplateChat) -> list[str]:
 
 
 def _render_step(i, thought, action, observation) -> str:
-    lines = observation.render_lines()
-    obs_text = lines[0] + ("\n" + "\n".join(lines[1:]) if len(lines) > 1 else "")
+    """A Search, Generate or Complete step as the transcript shows it."""
+    lines = [t.as_text() for t in observation.triples] + observation.notes
+    obs_text = "\n".join(lines or ["none"])
     return (
         f"Thought {i}: {thought}\n"
         f"Action {i}: {action.as_text()}\n"
@@ -463,32 +453,21 @@ def run_episode(
     chat = TemplateChat(llm, params, max_calls=config.call_budget)
     trajectory.template_calls = chat.template_calls
     started = time.perf_counter()
-
-    if not topic_entities:
-        try:
-            trajectory.final_answers = cot_fallback(question, chat)
-        except LlmTransportError as exc:
-            raise EpisodeAborted(str(exc), trajectory) from exc
-        trajectory.stop_reason = "cot"
-        trajectory.wall_time_s = time.perf_counter() - started
-        return trajectory
-
-    for e in topic_entities:
-        kb.entity(e)
-
-    template = "agent_train" if mode == "train" else "agent_infer"
-    base_bindings = {
-        "question": question,
-        "topic_entities": " | ".join(kb.label_of(e) for e in topic_entities),
-    }
-    if mode == "train":
-        base_bindings["answers"] = " | ".join(gold_answers)
-    transcript = ""
-
     try:
+        if not topic_entities:
+            trajectory.final_answers = cot_fallback(question, chat)
+            trajectory.stop_reason = "cot"
+            return trajectory
+        template = "agent_train" if mode == "train" else "agent_infer"
+        base_bindings = {
+            "question": question,
+            "topic_entities": " | ".join(kb.label_of(e) for e in topic_entities),
+        }
+        if mode == "train":
+            base_bindings["answers"] = " | ".join(gold_answers)
+        transcript = ""
         for i in range(1, config.max_thoughts + 1):
             mark = len(chat.template_calls)
-            thought, action = None, None
             notice = ""
             for attempt in range(2):
                 response = chat(template, dict(base_bindings, transcript=transcript + notice))
@@ -509,28 +488,26 @@ def run_episode(
                 trajectory.notes.append(f"step {i}: aborted after repeated malformed actions")
                 continue
 
-            if action.kind == "finish":
-                observation = exec_finish(action.payload, gold_answers)
-                trajectory.predicted_answers = list(action.payload)
-                trajectory.final_answers = list(action.payload)
-                if mode == "train":
-                    trajectory.verified_answers = list(observation.verified_answers)
-                trajectory.steps.append(
-                    TrajectoryStep(thought, action, observation, tuple(chat.template_calls[mark:]))
-                )
-                trajectory.stop_reason = "finish"
-                break
             if action.kind == "search":
                 observation = exec_search(action.payload, thought, kb, chat, config)
             elif action.kind == "generate":
                 observation = exec_generate(
                     action.payload[0], trajectory, kb, chat, mode, gold_answers, config
                 )
-            else:
+            elif action.kind == "complete":
                 observation = exec_complete(action.payload[0], action.payload[1], kb, completer, config)
+            else:
+                observation = exec_finish(action.payload, gold_answers)
             trajectory.steps.append(
                 TrajectoryStep(thought, action, observation, tuple(chat.template_calls[mark:]))
             )
+            if action.kind == "finish":
+                trajectory.predicted_answers = list(action.payload)
+                trajectory.final_answers = list(action.payload)
+                if mode == "train":
+                    trajectory.verified_answers = list(observation.verified_answers)
+                trajectory.stop_reason = "finish"
+                break
             transcript += _render_step(i, thought, action, observation)
         else:
             trajectory.final_answers = ["unknown"]
@@ -540,10 +517,10 @@ def run_episode(
         trajectory.stop_reason = "budget"
         trajectory.notes.append("call budget exhausted")
     except (LlmTransportError, CompleterTransportError) as exc:
-        trajectory.wall_time_s = time.perf_counter() - started
         raise EpisodeAborted(str(exc), trajectory) from exc
+    finally:
+        trajectory.wall_time_s = time.perf_counter() - started
 
-    trajectory.wall_time_s = time.perf_counter() - started
     if trajectory.llm_call_count > config.call_budget:
         raise AssertionError("call accounting exceeded the hard budget")
     return trajectory

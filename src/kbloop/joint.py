@@ -157,7 +157,7 @@ class RunDir:
         and its ``error`` (empty when none). A joint line, one with a
         ``position`` (the question's index in its sweep), also holds its
         reasoning ``path`` (``null`` when none was parsed) and ``finetuned``."""
-        line = trajectory.to_dict(include_timing=True)
+        line = trajectory.to_dict()
         line["error"] = error
         if position is not None:
             line.update(position=position, path=path.to_dict() if path is not None else None,

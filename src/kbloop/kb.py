@@ -352,7 +352,7 @@ def read_kb(triples_path, entities_path, relations_path):
     * relations: ``id<TAB>label[<TAB>description[<TAB>schema]]``
 
     Returns ``(entities, relations, triples)`` as lists in file order;
-    repeated triples are kept. Empty entity ids, duplicate ids, empty labels, dangling
+    repeated triples are kept. Empty ids, duplicate ids, empty labels, dangling
     references, malformed lines and bytes that are not UTF-8 raise
     :class:`KbLoadError` with the offending line number; a file that cannot
     be opened raises it naming the file.
@@ -372,6 +372,8 @@ def read_kb(triples_path, entities_path, relations_path):
     relations = []
     seen_relations = set()
     for lineno, (rid, label, desc, schema) in _read_rows(relations_path, 2, 4, "relation"):
+        if not rid:
+            raise KbLoadError(f"{relations_path}:{lineno}: empty relation id")
         if rid in seen_relations:
             raise KbLoadError(f"{relations_path}:{lineno}: duplicate relation id {rid!r}")
         if not label:

@@ -20,32 +20,30 @@ from .kb import KnowledgeBase, Triple, normalize_label
 from .llm import LlmParams
 
 
+def _key(h: str, r: str, t: str) -> tuple[str, str, str]:
+    return normalize_label(h), normalize_label(r), normalize_label(t)
+
+
 @dataclass
 class ReasoningSubgraph:
-    """Undirected view over surface triples; node keys are normalized labels."""
+    """Undirected view over surface triples; node keys are normalized labels.
+    ``by_key`` maps each normalized ``(h, r, t)`` to its first triple."""
 
     triples: list[SurfaceTriple] = field(default_factory=list)
     adjacency: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    _seen: set = field(default_factory=set)
+    by_key: dict[tuple[str, str, str], SurfaceTriple] = field(default_factory=dict)
 
     def add(self, t: SurfaceTriple) -> None:
-        key = (normalize_label(t.head), normalize_label(t.relation), normalize_label(t.tail))
-        if key in self._seen:
+        key = _key(t.head, t.relation, t.tail)
+        if key in self.by_key:
             return
-        self._seen.add(key)
+        self.by_key[key] = t
         idx = len(self.triples)
         self.triples.append(t)
         h, tl = key[0], key[2]
         self.adjacency.setdefault(h, []).append((tl, idx))
         if tl != h:
             self.adjacency.setdefault(tl, []).append((h, idx))
-
-    def finalize(self) -> "ReasoningSubgraph":
-        for node in self.adjacency:
-            self.adjacency[node].sort(
-                key=lambda pair: (pair[0], self.triples[pair[1]].relation, pair[1])
-            )
-        return self
 
     def incident(self, node: str) -> list[SurfaceTriple]:
         return [self.triples[idx] for _, idx in self.adjacency.get(node, [])]
@@ -55,7 +53,9 @@ def build_subgraph(triples) -> ReasoningSubgraph:
     g = ReasoningSubgraph()
     for t in triples:
         g.add(t)
-    return g.finalize()
+    for pairs in g.adjacency.values():
+        pairs.sort(key=lambda pair: (pair[0], g.triples[pair[1]].relation, pair[1]))
+    return g
 
 
 def bfs_witness(subgraph: ReasoningSubgraph, source: str, target: str):
@@ -161,20 +161,18 @@ def parse_reasoning_paths(
     topics = [kb.label_of(e) for e in trajectory.topic_entities]
     witness_triples: list[SurfaceTriple] = []  # with repeats; candidates drops them
     witness_nodes: set[str] = set()
-    reached = False
     for topic in topics:
         for answer in trajectory.verified_answers:
             witness = bfs_witness(subgraph, topic, answer)
             if witness is None:
                 continue
-            reached = True
             witness_nodes.add(normalize_label(topic))
             witness_nodes.add(normalize_label(answer))
             witness_triples.extend(witness)
             for t in witness:
                 witness_nodes.add(normalize_label(t.head))
                 witness_nodes.add(normalize_label(t.tail))
-    if not reached:
+    if not witness_nodes:
         path.notes.append("no witness connects a topic entity to a verified answer")
         return path
 
@@ -199,22 +197,17 @@ def parse_reasoning_paths(
     except BudgetExhausted:
         path.notes.append("call budget exhausted before path_select; empty path")
         return path
-    by_key = {
-        (normalize_label(t.head), normalize_label(t.relation), normalize_label(t.tail)): t
-        for t in candidates
-    }
     # the selection is the triple lines from the "Related triples" header on
     lines = reply.splitlines()
     start = next((i for i, line in enumerate(lines) if "related triples" in line.lower()), 0)
     selected: list[SurfaceTriple] = []
     for h, r, t in parse_triple_lines("\n".join(lines[start:]))[0]:
-        match = by_key.get((normalize_label(h), normalize_label(r), normalize_label(t)))
+        match = subgraph.by_key.get(_key(h, r, t))
         if match is not None and match not in selected:
             selected.append(match)
         elif match is None:
             path.notes.append(f"selection outside candidates dropped: {h}, {r}, {t}")
 
-    seen = set()
     for t in selected:
         if t.relation_id is None:
             path.notes.append(f"unlinked relation dropped: {t.as_text()}")
@@ -223,8 +216,6 @@ def parse_reasoning_paths(
         if not head_ids or not tail_ids:
             path.notes.append(f"unknown entity dropped: {t.as_text()}")
             continue
-        triple = Triple(head_ids[0], t.relation_id, tail_ids[0])
-        if triple not in seen:
-            seen.add(triple)
-            path.triples.append(triple)
+        path.triples.append(Triple(head_ids[0], t.relation_id, tail_ids[0]))
+    path.triples = list(dict.fromkeys(path.triples))
     return path

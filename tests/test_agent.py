@@ -10,11 +10,14 @@ from kbloop.agent import (
     cot_fallback,
     exec_complete,
     exec_finish,
+    exec_search,
     parse_action,
     run_episode,
 )
 from kbloop.completer import RemoteCompleter
+from kbloop.kb import Triple, UnknownEntityError
 from kbloop.llm import ScriptedBackend
+from kbloop.paths import parse_reasoning_paths
 from kbloop.prompts import TEMPLATE_NAMES
 
 from conftest import CannedCompleter, WOODROW_GOLD, canonical_json, make_kb
@@ -49,6 +52,11 @@ class TestParseAction:
     def test_complete_needs_two_parts(self):
         with pytest.raises(ActionParseError):
             parse_action("Complete[only one]")
+
+    @pytest.mark.parametrize("text", ["Search[]", "Finish[ | ]"])
+    def test_empty_payload(self, text):
+        with pytest.raises(ActionParseError, match="needs a payload"):
+            parse_action(text)
 
 
 class TestExecFinish:
@@ -402,6 +410,48 @@ class TestSearchEdgeCases:
         triples = trajectory.steps[0].observation.triples
         assert [(t.head, t.tail) for t in triples] == [("America", "X")]
 
+    @pytest.mark.parametrize("reply, tail", [
+        ("Answer: Q443", "Y"), ("Answer: Q44", "X"), ("Answer: Q44 or Q443", "X"),
+    ])
+    def test_shared_label_takes_the_first_id_named_and_the_longest_at_one_place(self, reply, tail):
+        kb = make_kb(
+            [("Q44", "r", "x"), ("Q443", "r", "y")],
+            entities={"Q44": ("Twin", "the first"), "Q443": ("Twin", "the second"),
+                      "x": ("X", ""), "y": ("Y", "")},
+            relations={"r": ("related to", "", "")},
+        )
+        chat = TemplateChat(ScriptedBackend(
+            [("Candidate Entities", reply), ("Entity Name: Twin", "Answers: related to")]
+        ), max_calls=2)
+        obs = exec_search(["Twin"], "which twin?", kb, chat, AgentConfig())
+        assert [t.tail for t in obs.triples] == [tail]
+
+    def test_reply_naming_no_candidate_defaults_to_the_smallest_id(self):
+        kb = make_kb(
+            [("Q30", "r", "x"), ("Q99", "r", "y")],
+            entities={"Q30": ("America", ""), "Q99": ("America", ""), "x": ("X", ""), "y": ("Y", "")},
+            relations={"r": ("related to", "", "")},
+        )
+        chat = TemplateChat(ScriptedBackend(
+            [("Candidate Entities", "Answer: neither"), ("Entity Name: America", "Answers: related to")]
+        ), max_calls=2)
+        obs = exec_search(["America"], "t", kb, chat, AgentConfig())
+        assert [(t.head, t.tail) for t in obs.triples] == [("America", "X")]
+        assert obs.notes == ["ambiguous entity America: defaulted to Q30"]
+
+    @pytest.mark.parametrize("config, relations, n_triples", [
+        (AgentConfig(relations_per_search=2), ["r1", "r1", "r2", "r2"], 4),
+        (AgentConfig(max_search_triples=3), ["r1", "r1", "r2"], 3),
+    ])
+    def test_observation_capped_by_relations_and_triples(self, config, relations, n_triples):
+        kb = make_kb([("h", r, f"{r}{i}") for r in ("r1", "r2", "r3") for i in range(2)],
+                     entities={"h": ("Hub", "")})
+        chat = TemplateChat(ScriptedBackend([("Entity Name: Hub", "Answers: r1, r2, r3")]),
+                            max_calls=1)
+        obs = exec_search(["Hub"], "t", kb, chat, config)
+        assert [t.relation for t in obs.triples] == relations
+        assert len(obs.triples) == n_triples
+
 
 class TestGenerateEdgeCases:
     def korea_kb(self):
@@ -479,6 +529,32 @@ class TestGenerateEdgeCases:
         # only the generation call was spent; the correction pass was skipped
         assert trajectory.llm_call_count == 3
 
+    def test_unlinked_relation_kept_unlinked_and_left_out_of_the_path(self, woodrow_kb):
+        backend = ScriptedBackend(
+            [
+                ("", "Thought 1: go.\nAction 1: Generate[where else?]"),
+                ("Generated Triples", "1. Woodrow Wilson, zzqq xyzzy, Davidson College\n"
+                                      "2. Woodrow Wilson, educated at"),
+                ("Schemas", "1. Woodrow Wilson, zzqq xyzzy, Davidson College\n"
+                            "2. Woodrow Wilson, educated at, Davidson College"),
+                ("Observation 1", "Thought 2: stop.\nAction 2: Finish[Davidson College]"),
+            ]
+        )
+        trajectory = run_episode(
+            "q?", ["Q34296"], woodrow_kb, woodrow_completer(), backend, gold_answers=WOODROW_GOLD,
+        )
+        obs = trajectory.steps[0].observation
+        assert [(t.relation, t.relation_id) for t in obs.triples] == [
+            ("zzqq xyzzy", None), ("educated at", "P69"),
+        ]
+        assert obs.notes == ["unparseable triple line: Woodrow Wilson, educated at"]
+        path = parse_reasoning_paths(trajectory, woodrow_kb, ScriptedBackend([(
+            "Known triples", "Related triples:\nWoodrow Wilson, educated at, Davidson College\n"
+                             "Woodrow Wilson, zzqq xyzzy, Davidson College",
+        )]))
+        assert path.triples == [Triple("Q34296", "P69", "Q1075103")]
+        assert "unlinked relation dropped: Woodrow Wilson, zzqq xyzzy, Davidson College" in path.notes
+
 
 class TestCompleteEdgeCases:
     def test_relation_linked_before_prediction(self, woodrow_kb):
@@ -512,6 +588,21 @@ class TestCompleteEdgeCases:
         labels = {t.tail for t in obs.triples}
         assert labels == {"Princeton University"}
 
+    def test_unknown_surface_noted(self, woodrow_kb):
+        obs = exec_complete("Nobody Here", "educated at", woodrow_kb, woodrow_completer(),
+                            AgentConfig())
+        assert obs.triples == []
+        assert obs.notes == ["entity not found: Nobody Here"]
+
+    def test_shared_label_defaults_to_the_smallest_id(self):
+        kb = make_kb([("Q30", "r", "x"), ("Q99", "r", "y")],
+                     entities={"Q30": ("America", ""), "Q99": ("America", ""), "x": ("X", "")},
+                     relations={"r": ("related to", "", "")})
+        completer = CannedCompleter({("Q30", "r"): [("x", 1.0)], ("Q99", "r"): [("y", 1.0)]})
+        obs = exec_complete("America", "related to", kb, completer, AgentConfig())
+        assert [t.tail for t in obs.triples] == ["X"]
+        assert obs.notes == ["ambiguous entity America: defaulted to Q30"]
+
 
 class TestCotFallback:
     def test_empty_topics_route_to_single_call(self, woodrow_kb):
@@ -526,6 +617,14 @@ class TestCotFallback:
         backend = ScriptedBackend([("", "Answer: Paris | London")])
         assert cot_fallback("q?", TemplateChat(backend, max_calls=1)) == ["Paris", "London"]
 
+    @pytest.mark.parametrize("reply, answers", [
+        ("Reasoning here.\n  Probably Paris  \n\n", ["Probably Paris"]),
+        (" \n\n", ["unknown"]),
+    ])
+    def test_reply_without_answer_line(self, reply, answers):
+        backend = ScriptedBackend([("", reply)])
+        assert cot_fallback("q?", TemplateChat(backend, max_calls=1)) == answers
+
     def test_nonempty_topics_never_fallback(self, woodrow_kb):
         backend = ScriptedBackend(
             [("Topic Entity", "Thought 1: t.\nAction 1: Finish[unknown]")]
@@ -535,3 +634,9 @@ class TestCotFallback:
         )
         assert trajectory.stop_reason == "finish"
         assert "cot" not in trajectory.template_calls
+
+
+def test_unknown_topic_refused_before_any_chat_call(woodrow_kb):
+    with pytest.raises(UnknownEntityError, match="'Qnone'"):
+        run_episode("q?", ["Q34296", "Qnone", "Qother"], woodrow_kb, woodrow_completer(),
+                    ScriptedBackend([]))

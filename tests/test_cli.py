@@ -751,13 +751,14 @@ class TestMalformedInputs:
          "entities.tsv:1: malformed entity line (expected 2-3 tab-separated fields, got 1)"),
         ("relations.tsv", b"r0\trel 0\nr0\trel again\n", "relations.tsv:2: duplicate relation id 'r0'"),
         ("relations.tsv", b"r0\t\n", "relations.tsv:1: empty label for relation 'r0'"),
+        ("relations.tsv", b"r0\trel 0\n\tempty id rel\n", "relations.tsv:2: empty relation id"),
         ("relations.tsv", b"r0\ta\tb\tc\td\n",
          "relations.tsv:1: malformed relation line (expected 2-4 tab-separated fields, got 5)"),
         ("triples.tsv", b"\n  \ne0\tr0\n",
          "triples.tsv:3: malformed triple line (expected 3 tab-separated fields, got 2)"),
     ], ids=["triples_missing", "relations_missing", "triples_not_utf8", "entities_not_utf8",
             "entity_duplicate_after_blank_lines", "entity_empty_label", "entity_field_count",
-            "relation_duplicate", "relation_empty_label", "relation_field_count",
+            "relation_duplicate", "relation_empty_label", "relation_empty_id", "relation_field_count",
             "triple_field_count_after_blank_lines"])
     def test_kb_prepare_input(self, workspace, name, content, named):
         tmp_path, config_path = workspace

@@ -1,5 +1,6 @@
 """The run directory's layout is one decision: its file names appear only in
-``joint.RunDir``, and every write to a file goes through ``durable``."""
+``joint.RunDir``, and every write to a file goes through ``durable``. And
+every definition in the package is used by the package."""
 
 import ast
 import re
@@ -89,3 +90,82 @@ def test_the_guard_sees_each_kind_of_breach(source):
 ])
 def test_the_guard_lets_run_dir_names_and_reads_through(source):
     assert violations(source, "cli.py") == []
+
+
+# Definitions that nothing in the package refers to by name, each with why it stays.
+USED_FROM_OUTSIDE = {
+    "llm._NoRedirect.redirect_request": "urllib calls it",
+    # perfbench alone calls these two; ROADMAP item 2 deletes both
+    "completer.CompletionQuery.tail_query": "perfbench/selftest.py calls it",
+    "joint.RunLog": "perfbench/spans.py wraps its methods",
+}
+
+
+def _is_click_command(node):
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _definitions(tree, module):
+    """``(line, qualified name)`` of each module-level function, class and
+    assignment, and each method; click commands are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not _is_click_command(node):
+                yield node.lineno, f"{module}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield item.lineno, f"{module}.{node.name}.{item.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.lineno, f"{module}.{name.id}"
+
+
+def unused(sources):
+    """``(line, qualified name)`` of each definition in ``sources`` (module
+    name to source) that no loaded name, attribute or import alias refers
+    to. Dunders and ``USED_FROM_OUTSIDE`` are let through."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referred = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referred.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referred.add(node.name)
+    found = []
+    for module, tree in trees.items():
+        for line, qualified in _definitions(tree, module):
+            name = qualified.rsplit(".", 1)[1]
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name not in referred and qualified not in USED_FROM_OUTSIDE:
+                found.append((line, qualified))
+    return found
+
+
+def test_every_definition_is_used_by_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unused(sources) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def f():\n    pass", [(1, "m.f")]),
+    ("class C:\n    def f(self):\n        pass\n\nC()", [(2, "m.C.f")]),
+    ("LIMIT = 3", [(1, "m.LIMIT")]),
+    ("def f():\n    pass\n\nf()", []),
+    ("class C:\n    def f(self):\n        pass\n\nC().f()", []),
+    ("def __getattr__(name):\n    pass", []),
+    ("import click\n\n@click.group()\ndef main():\n    pass\n\n@main.command()\ndef run():\n"
+     "    pass", []),
+])
+def test_the_unused_guard_flags_only_definitions_nothing_refers_to(source, flagged):
+    assert unused({"m": source}) == flagged
+
+
+def test_the_unused_guard_lets_the_named_exemptions_through():
+    assert unused({"joint": "class RunLog:\n    pass"}) == []

@@ -85,6 +85,12 @@ class TestBfsWitness:
                 assert witness is not None
                 assert len(witness) == dist[target]
 
+    def test_triples_alike_but_for_case_and_spacing_are_one_the_first(self):
+        first = st("Alpha", "r", "Beta")
+        g = build_subgraph([first, st(" alpha", "R", "BETA  "), st("Alpha", "r", "Gamma")])
+        assert g.triples == [first, st("Alpha", "r", "Gamma")]
+        assert bfs_witness(g, "ALPHA", "beta") == [first]
+
     def test_double_run_is_identical(self):
         rng = random.Random(8)
         edges = {(f"n{rng.randint(0, 20)}", f"n{rng.randint(0, 20)}") for _ in range(40)}
