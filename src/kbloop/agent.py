@@ -255,9 +255,9 @@ def _resolve_surface(surface, thought, kb, llm, notes) -> str | None:
         return ids[0]
     candidates = "\n".join(f"{eid}: {kb.entity(eid).description or kb.label_of(eid)}" for eid in ids)
     reply = llm("entity_select", {"thought": thought, "entity_name": surface, "candidates": candidates})
-    named = [eid for eid in ids if eid in reply]
-    if named:  # the first id the reply names; at one position, the longest
-        return min(named, key=lambda eid: (reply.find(eid), -len(eid)))
+    hits = [(reply.find(eid), eid) for eid in ids if eid in reply]
+    if hits:
+        return min(hits)[1]
     notes.append(f"ambiguous entity {surface}: defaulted to {ids[0]}")
     return ids[0]
 

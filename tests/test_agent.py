@@ -410,22 +410,6 @@ class TestSearchEdgeCases:
         triples = trajectory.steps[0].observation.triples
         assert [(t.head, t.tail) for t in triples] == [("America", "X")]
 
-    @pytest.mark.parametrize("reply, tail", [
-        ("Answer: Q443", "Y"), ("Answer: Q44", "X"), ("Answer: Q44 or Q443", "X"),
-    ])
-    def test_shared_label_takes_the_first_id_named_and_the_longest_at_one_place(self, reply, tail):
-        kb = make_kb(
-            [("Q44", "r", "x"), ("Q443", "r", "y")],
-            entities={"Q44": ("Twin", "the first"), "Q443": ("Twin", "the second"),
-                      "x": ("X", ""), "y": ("Y", "")},
-            relations={"r": ("related to", "", "")},
-        )
-        chat = TemplateChat(ScriptedBackend(
-            [("Candidate Entities", reply), ("Entity Name: Twin", "Answers: related to")]
-        ), max_calls=2)
-        obs = exec_search(["Twin"], "which twin?", kb, chat, AgentConfig())
-        assert [t.tail for t in obs.triples] == [tail]
-
     def test_reply_naming_no_candidate_defaults_to_the_smallest_id(self):
         kb = make_kb(
             [("Q30", "r", "x"), ("Q99", "r", "y")],

@@ -1,6 +1,8 @@
 """The run directory's layout is one decision: its file names appear only in
 ``joint.RunDir``, and every write to a file goes through ``durable``. And
-every definition in the package is used by the package."""
+no definition in the package has a name that nothing in the package
+mentions (a check by bare name, so a dead method whose name some other
+object's attribute shares goes unseen)."""
 
 import ast
 import re
@@ -126,8 +128,8 @@ def _definitions(tree, module):
 
 def unused(sources):
     """``(line, qualified name)`` of each definition in ``sources`` (module
-    name to source) that no loaded name, attribute or import alias refers
-    to. Dunders and ``USED_FROM_OUTSIDE`` are let through."""
+    name to source) whose bare name no loaded name, attribute or import
+    alias mentions. Dunders and ``USED_FROM_OUTSIDE`` are let through."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referred = set()
     for tree in trees.values():
@@ -148,7 +150,9 @@ def unused(sources):
     return found
 
 
-def test_every_definition_is_used_by_the_package():
+def test_every_definition_name_is_mentioned_in_the_package():
+    """By bare name: it catches names nothing in the package mentions, not
+    every definition nothing calls."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unused(sources) == []
 
@@ -159,6 +163,8 @@ def test_every_definition_is_used_by_the_package():
     ("LIMIT = 3", [(1, "m.LIMIT")]),
     ("def f():\n    pass\n\nf()", []),
     ("class C:\n    def f(self):\n        pass\n\nC().f()", []),
+    # by bare name: another object's attribute ``f`` lets the dead ``C.f`` through
+    ("class C:\n    def f(self):\n        pass\n\nC()\nobject.f", []),
     ("def __getattr__(name):\n    pass", []),
     ("import click\n\n@click.group()\ndef main():\n    pass\n\n@main.command()\ndef run():\n"
      "    pass", []),
