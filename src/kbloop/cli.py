@@ -129,8 +129,8 @@ def kb_prepare(config_path, triples, entities, relations, n_valid, n_test, keep_
     # the full KB is only split and degraded, so it is read and checked, not indexed
     _, _, triples = kb_mod.read_kb(*_kb_paths(cfg))
     try:
-        bundle = kb_mod.split(triples, cfg.n_valid, cfg.n_test, cfg.seed)
-        working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.seed)
+        bundle = kb_mod.split(triples, cfg.n_valid, cfg.n_test, cfg.training.seed)
+        working = kb_mod.degrade(bundle.train, cfg.keep_fraction, cfg.training.seed)
     except ValueError as exc:  # split sizes or keep_fraction that the KB cannot meet
         raise click.UsageError(str(exc)) from exc
 
@@ -151,7 +151,7 @@ def pretrain(config_path, run_dir):
     if cfg.completer_endpoint:
         completer = _completer(cfg, run_dir, working_kb)
     else:
-        completer = NativeCompleter(working_kb, dim=cfg.embedding_dim, seed=cfg.seed)
+        completer = NativeCompleter(working_kb, dim=cfg.embedding_dim, seed=cfg.training.seed)
     started = time.perf_counter()
     completer.pretrain(working_kb.triples, working_kb, cfg.training)
     run_dir.restart(completer)

@@ -87,7 +87,7 @@ class TrainingConfig:
     epochs: int = 30
     learning_rate: float = 0.01
     batch_size: int = 64
-    seed: int = 0
+    seed: int = 0  # also seeds `kb prepare`'s split and sample and the native completer's weights
     # sweeps over the combined new+replay sample during one fine-tune call
     finetune_passes: int = 10
     replay_samples_per_triple: int = 10
@@ -121,8 +121,6 @@ def top_k(scores: np.ndarray, entity_ids, k: int) -> list[RankedPrediction]:
     KB's ascending id order, which is the order of ``scores``), at most
     ``k``. Minus infinity, an entity a remote completer never decoded, is
     never a candidate."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     neg = -scores
     k = min(k, len(neg))
     candidates = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
@@ -392,7 +390,7 @@ class RemoteCompleter:
     The wire contract is JSON over POST:
 
     * ``complete``: ``{"sequence": str, "num_samples": int, "temperature": float}``
-      -> ``{"samples": [{"text": str, "logprob": float}, ...]}``
+      -> ``{"samples": [{"text": str, "logprob": float}, ...]}``, each ``logprob`` finite
     * ``pretrain``: ``{"triples": [[h, r, t], ...]}`` -> ``{"status": "completed"}``
       (labels, not ids; blocks until done)
     * ``finetune``: ``{"triples": [[h, r, t], ...], "replay": [[h, r, t], ...]}``
@@ -413,8 +411,6 @@ class RemoteCompleter:
         timeout: float = 60.0,
         transport=None,
     ):
-        if transport is None and not endpoint:
-            raise ValueError("remote completer needs an endpoint or a transport")
         self.endpoint = endpoint
         self.r_samples = r_samples
         self.temperature = temperature
@@ -427,6 +423,8 @@ class RemoteCompleter:
                                         "num_samples": self.r_samples, "temperature": self.temperature})
         try:
             samples = [(str(sample["text"]), float(sample["logprob"])) for sample in reply["samples"]]
+            if not all(math.isfinite(logprob) for _, logprob in samples):
+                raise ValueError("a logprob is not finite")
         except (TypeError, KeyError, ValueError):
             raise CompleterTransportError(f"malformed completion response: {reply!r}") from None
         best: dict[EntityId, float] = {}

@@ -30,7 +30,6 @@ class RunConfig:
     n_valid: int = 0
     n_test: int = 0
     keep_fraction: float = 0.5
-    seed: int = 0  # load_config gives it to `training` as well
 
     # completer
     embedding_dim: int = 64
@@ -66,13 +65,12 @@ class RunConfig:
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a config from an optional flat JSON file and override pairs.
 
-    Each key goes to the dataclass that declares it, ``seed`` to both
-    ``RunConfig`` and ``TrainingConfig``. A file that does not hold a JSON
-    object, an unknown key, a value of another JSON type than its default
-    (an integer may stand for a float, a boolean never for an integer) or
-    out of range, and an ``llm_endpoint`` or ``completer_endpoint`` that is
-    set but is not an ``http``/``https`` URL with a host raise
-    :class:`ValueError`.
+    Each key goes to the dataclass that declares it. A file that does not
+    hold a JSON object, an unknown key, a value of another JSON type than its
+    default (an integer may stand for a float, a boolean never for an
+    integer) or out of range, and an ``llm_endpoint`` or
+    ``completer_endpoint`` that is set but is not an ``http``/``https`` URL
+    with a host raise :class:`ValueError`.
     Environment variables supply the chat endpoint/model/credential when the
     file and overrides leave them empty.
     """

@@ -43,6 +43,22 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the keys of a joint log line that its readers use, each with its JSON type
+_LINE_KEYS = (
+    ("finetuned", "a boolean", lambda v: isinstance(v, bool)),
+    ("path", "null or an object whose 'triples' is a list of [head, relation, tail] strings",
+     lambda v: v is None or isinstance(v, dict) and isinstance(v.get("triples"), list)
+     and all(_is_strings(t) and len(t) == 3 for t in v["triples"])),
+    ("position", "an integer", _is_int),
+    ("llm_call_count", "an integer", _is_int),
+    ("wall_time_s", "a number", lambda v: _is_int(v) or isinstance(v, float)),
+)
+
+
 def load_qa_examples(path, kb: KnowledgeBase) -> list[QaExample]:
     """One JSON object per line: a non-empty ``question`` string, a
     non-empty ``answers`` list of strings and an optional
@@ -84,7 +100,7 @@ class RunDir:
     * ``completer.npz`` is a snapshot of a native completer, written by
       ``pretrain`` and at the end of each joint run, never per question. It
       also stores ``log_lines``, how many log lines it already includes. The
-      replay sampler's state is not stored; :meth:`replay` redraws it.
+      replay sampler's state is not stored; :func:`run_joint_training` redraws it from the log.
     * ``paths.jsonl`` is a view of the log's paths, rewritten from the log
       at the end of each joint run.
     * ``kbqa_trajectories.jsonl`` is ``eval-kbqa``'s log, one :meth:`line` per
@@ -136,7 +152,9 @@ class RunDir:
         """The log's lines, parsed from one read. A torn last line, one a
         crash cut short (or a live run is appending), is dropped: that
         question never ran. Only the ``writer``, the run that appends next,
-        creates the directory and cuts the torn line off the file."""
+        creates the directory and cuts the torn line off the file. A line
+        missing a key that a reader uses, or holding it as another JSON type,
+        raises :class:`RunLogError` naming ``path:line`` and the key."""
         if writer:
             self.path.mkdir(parents=True, exist_ok=True)
         try:
@@ -148,7 +166,14 @@ class RunDir:
             logger.warning("dropping the torn last line of %s", self.trajectories_path)
             if writer:
                 os.truncate(self.trajectories_path, end)
-        return [record for _, record in parse_jsonl(data[:end].split(b"\n"), self.trajectories_path)]
+        entries = parse_jsonl(data[:end].split(b"\n"), self.trajectories_path)
+        for lineno, entry in entries:
+            for key, what, check in _LINE_KEYS:
+                if key not in entry or not check(entry[key]):
+                    raise RunLogError(f"{self.trajectories_path}:{lineno}: {key!r} must be {what}")
+            if entry["finetuned"] and entry["path"] is None:
+                raise RunLogError(f"{self.trajectories_path}:{lineno}: a 'finetuned' line needs a 'path'")
+        return [entry for _, entry in entries]
 
     @staticmethod
     def line(trajectory, error: str = "", *, position: int | None = None, path=None,
@@ -181,24 +206,6 @@ class RunDir:
         self.paths_path.unlink(missing_ok=True)
         if hasattr(completer, "save"):
             completer.save(self.checkpoint_path)
-
-    def replay(self, snapshot: Snapshot, finetune, entries):
-        """Bring the ``snapshot``'s completer, and the replay sampler behind
-        ``finetune``, to the end of the log's ``entries``: for each entry that
-        was fine-tuned on, in log order, ``finetune(model, triples)``, where
-        ``model`` is ``None`` for an entry the snapshot includes (its replay
-        sample is only redrawn) and the completer for the rest. Returns the
-        completer."""
-        if snapshot.log_lines > len(entries):
-            raise RunLogError(
-                f"{self.checkpoint_path} includes {snapshot.log_lines} question log lines, but "
-                f"{self.trajectories_path} has {len(entries)}; run `kbloop pretrain` again"
-            )
-        for line, entry in enumerate(entries):
-            if entry["finetuned"]:
-                model = snapshot.completer if line >= snapshot.log_lines else None
-                finetune(model, [Triple(*t) for t in entry["path"]["triples"]])
-        return snapshot.completer
 
     def write_paths(self, entries) -> None:
         """Rewrite the paths view from the log's ``entries``."""
@@ -250,15 +257,15 @@ def run_joint_training(
     ``completer`` is a remote completer, or the :class:`Snapshot` of a native
     one that ``pretrain`` or :meth:`RunDir.restart` wrote in ``run_dir``, as
     :meth:`NativeCompleter.load` reads it. The log is read once. The run
-    first replays it (:meth:`RunDir.replay`): the replay sampler, seeded
-    with ``train_config.seed``, redraws the samples of every logged
-    fine-tune, and the completer is fine-tuned on the lines after the
-    snapshot, so the run continues from the end of the log. A remote
-    completer's service owns its training state and already holds every
-    logged line, so for it the replay only redraws. With ``resume`` the run
-    continues the log's current sweep: it skips the questions of
-    ``qa_train`` up to the position of the log's last line, not those of
-    earlier sweeps.
+    first replays it: the replay sampler, seeded with ``train_config.seed``,
+    redraws the samples of every logged fine-tune, and the completer is
+    fine-tuned on the lines after the snapshot, so the run continues from the
+    end of the log; a snapshot that includes more lines than the log holds
+    raises :class:`RunLogError`. A remote completer's service owns its
+    training state and already holds every logged line, so for it the replay
+    only redraws. With ``resume`` the run continues the log's current sweep:
+    it skips the questions of ``qa_train`` up to the position of the log's
+    last line, not those of earlier sweeps.
 
     A fine-tune adds ``train_config.replay_samples_per_triple`` replay triples
     per path triple, sampled from ``kb.triples``, the pretraining set. Every
@@ -286,17 +293,22 @@ def run_joint_training(
     def rebuild(snapshot):  # from a fresh sampler, so the log alone sets its state
         nonlocal memory
         memory = ReplayMemory(kb.triples, seed=train_config.seed)
-        return log.replay(snapshot, finetune, entries)
+        if snapshot.log_lines > len(entries):
+            raise RunLogError(
+                f"{log.checkpoint_path} includes {snapshot.log_lines} question log lines, but "
+                f"{log.trajectories_path} has {len(entries)}; run `kbloop pretrain` again"
+            )
+        for line, entry in enumerate(entries):
+            if entry["finetuned"]:
+                model = snapshot.completer if line >= snapshot.log_lines else None
+                finetune(model, [Triple(*t) for t in entry["path"]["triples"]])
+        return snapshot.completer
 
     native = isinstance(completer, Snapshot)
     entries = log.entries(writer=True)  # cuts a torn last line before any append
     completer = rebuild(completer if native else Snapshot(completer, len(entries)))
     start = 0
     if resume and entries:  # after the position of the log's last line
-        if "position" not in entries[-1]:
-            raise RunLogError(
-                f"{log.trajectories_path} records no sweep positions; run `kbloop pretrain` again"
-            )
         start = entries[-1]["position"] + 1
     if resume:
         logger.info("resuming the sweep at question %d", start)

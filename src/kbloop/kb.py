@@ -227,8 +227,6 @@ class KnowledgeBase:
         tail is exactly the unknown a completion query asks for, so keeping
         them would leak the answer into the context.
         """
-        if max_size < 0:
-            raise ValueError("max_size must be >= 0")
         self.relation(r)
         ranked = []
         for t in self.neighbors(h):
@@ -267,21 +265,32 @@ def _numbered_lines(path):
             raise KbLoadError(f"{path}: not valid UTF-8") from None
 
 
-def _read_rows(path, min_cols, max_cols, what):
-    rows = []
+def _read_records(path, record, what) -> dict:
+    """The ``id<TAB>label[<TAB>...]`` lines of ``path`` as ``record`` tuples by
+    id, in file order, blank lines skipped. A line of fewer than two or more
+    fields than ``record`` has, an empty id, a repeated id or an empty label
+    raises :class:`KbLoadError` naming ``path:line``."""
+    records = {}
+    max_cols = len(record._fields)
     for lineno, raw in _numbered_lines(path):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
         parts = line.split("\t")
-        if not (min_cols <= len(parts) <= max_cols):
+        if not 2 <= len(parts) <= max_cols:
             raise KbLoadError(
                 f"{path}:{lineno}: malformed {what} line "
-                f"(expected {min_cols}-{max_cols} tab-separated fields, got {len(parts)})"
+                f"(expected 2-{max_cols} tab-separated fields, got {len(parts)})"
             )
-        parts += [""] * (max_cols - len(parts))
-        rows.append((lineno, parts))
-    return rows
+        rid, label = parts[:2]
+        if not rid:
+            raise KbLoadError(f"{path}:{lineno}: empty {what} id")
+        if rid in records:
+            raise KbLoadError(f"{path}:{lineno}: duplicate {what} id {rid!r}")
+        if not label:
+            raise KbLoadError(f"{path}:{lineno}: empty label for {what} {rid!r}")
+        records[rid] = record(*parts)
+    return records
 
 
 def read_triples(path, entities=None, relations=None) -> list[Triple]:
@@ -352,37 +361,17 @@ def read_kb(triples_path, entities_path, relations_path):
     * relations: ``id<TAB>label[<TAB>description[<TAB>schema]]``
 
     Returns ``(entities, relations, triples)`` as lists in file order;
-    repeated triples are kept. Empty ids, duplicate ids, empty labels, dangling
-    references, malformed lines and bytes that are not UTF-8 raise
-    :class:`KbLoadError` with the offending line number; a file that cannot
-    be opened raises it naming the file.
+    repeated triples are kept. The two record files share one check (empty
+    ids, duplicate ids, empty labels, too few or too many fields), and the
+    triples are checked against their ids. A failed check, a malformed
+    triple line and bytes that are not UTF-8 raise :class:`KbLoadError` with
+    the offending line number; a file that cannot be opened raises it naming
+    the file.
     """
-    entities = []
-    seen_entities = set()
-    for lineno, (eid, label, desc) in _read_rows(entities_path, 2, 3, "entity"):
-        if not eid:
-            raise KbLoadError(f"{entities_path}:{lineno}: empty entity id")
-        if eid in seen_entities:
-            raise KbLoadError(f"{entities_path}:{lineno}: duplicate entity id {eid!r}")
-        if not label:
-            raise KbLoadError(f"{entities_path}:{lineno}: empty label for entity {eid!r}")
-        seen_entities.add(eid)
-        entities.append(EntityRecord(eid, label, desc))
-
-    relations = []
-    seen_relations = set()
-    for lineno, (rid, label, desc, schema) in _read_rows(relations_path, 2, 4, "relation"):
-        if not rid:
-            raise KbLoadError(f"{relations_path}:{lineno}: empty relation id")
-        if rid in seen_relations:
-            raise KbLoadError(f"{relations_path}:{lineno}: duplicate relation id {rid!r}")
-        if not label:
-            raise KbLoadError(f"{relations_path}:{lineno}: empty label for relation {rid!r}")
-        seen_relations.add(rid)
-        relations.append(RelationRecord(rid, label, desc, schema))
-
-    triples = read_triples(triples_path, seen_entities, seen_relations)
-    return entities, relations, triples
+    entities = _read_records(entities_path, EntityRecord, "entity")
+    relations = _read_records(relations_path, RelationRecord, "relation")
+    triples = read_triples(triples_path, entities, relations)
+    return list(entities.values()), list(relations.values()), triples
 
 
 def load_kb(triples_path, entities_path, relations_path) -> KnowledgeBase:

@@ -86,10 +86,7 @@ def load_catalog() -> dict[str, PromptTemplate]:
 
 
 def get_template(name: str) -> PromptTemplate:
-    try:
-        return load_catalog()[name]
-    except KeyError:
-        raise KeyError(f"unknown prompt template {name!r}") from None
+    return load_catalog()[name]
 
 
 def render(template: PromptTemplate, bindings: dict[str, str]) -> str:

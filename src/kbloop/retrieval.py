@@ -80,8 +80,6 @@ def top_k(index: Bm25Index, query: str, k: int):
     Each document's terms are summed in query-token order, so its score is
     the same float as a per-document loop over the query would give.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     totals: dict[int, float] = {}
     for term in tokenize(query):
         posting = index.postings.get(term)

@@ -1,11 +1,13 @@
 """Command-line flows over a temp run directory."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
@@ -17,8 +19,9 @@ from kbloop import cli
 from kbloop import durable as durable_mod
 from kbloop import joint as joint_mod
 from kbloop import kb as kb_mod
+from kbloop.agent import AgentConfig
 from kbloop.cli import main
-from kbloop.completer import NativeCompleter
+from kbloop.completer import NativeCompleter, TrainingConfig
 from kbloop.config import RunConfig, load_config
 from kbloop.llm import LlmParams, LlmTransportError, ScriptedBackend
 
@@ -141,6 +144,7 @@ class TestPrepare:
         ("completer_endpoint", "ftp://models.example/complete"),
         ("llm_endpoint", "http:///v1/chat/completions"),
         ("completer_endpoint", "localhost:8000"),
+        ("llm_endpoint", "http://localhost:port/v1/chat/completions"),
     ])
     def test_bad_endpoint_is_usage_error_naming_the_key(self, workspace, key, url):
         tmp_path, config_path = workspace
@@ -186,8 +190,9 @@ class TestPrepare:
         (["--n-valid", "55", "--n-test", "5"], "n_valid + n_test"),
         (["--n-valid", "-1"], "split sizes must be non-negative"),
         (["--n-test", "-1"], "split sizes must be non-negative"),
+        (["--triples", ""], "missing triples_path"),
     ], ids=["keep_nothing", "keep_more_than_all", "held_out_all", "n_valid_negative",
-            "n_test_negative"])
+            "n_test_negative", "no_triples_path"])
     def test_bad_split_is_usage_error(self, workspace, flags, named):
         tmp_path, config_path = workspace
         result = CliRunner().invoke(
@@ -277,6 +282,10 @@ class TestConfigSurface:
         assert result.exit_code == 2, result.output
         assert f"Error: {key} must be finite and" in result.output
         assert not (tmp_path / "r").exists()
+
+    def test_each_key_has_one_home(self):
+        homes = [{f.name for f in fields(cls)} for cls in (RunConfig, AgentConfig, TrainingConfig)]
+        assert [a & b for a, b in itertools.combinations(homes, 2)] == [set()] * 3
 
 
 # sha256 of each file `kb prepare` writes for the seeded input of
@@ -722,9 +731,11 @@ class TestMalformedInputs:
         (QA_LINE, '{"expect": "q?"}', 1, "script.jsonl:1: 'response'"),
         (QA_LINE, None, 2, "script.jsonl' does not exist"),
         (QA_LINE, '{"expect": "another question", "response": "x"}', 1, "scripted step 0"),
+        ('{"question": "q?", "answers": ["Entity 3"], "topic_entities": "e0"}', SCRIPT_LINE, 1,
+         "qa.jsonl:1: 'topic_entities'"),
     ], ids=["qa_not_json", "qa_not_object", "qa_empty_answers", "qa_no_question",
             "qa_answers_not_list", "qa_missing", "script_no_response", "script_missing",
-            "script_mismatch"])
+            "script_mismatch", "qa_topics_not_list"])
     def test_eval_kbqa_input(self, workspace, qa_text, script_text, exit_code, named):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
@@ -771,6 +782,37 @@ class TestMalformedInputs:
         )
         assert result.exit_code == 1, result.output
         assert result.output.splitlines() == [f"Error: {path.parent}/{named}"]
+
+    @pytest.mark.parametrize("command", ["train-joint", "report"])
+    @pytest.mark.parametrize("edit, named", [
+        (lambda line: line.clear(), "'finetuned' must be a boolean"),
+        (lambda line: line.pop("position"), "'position' must be an integer"),
+        (lambda line: line.update(position=1.0), "'position' must be an integer"),
+        (lambda line: line.update(llm_call_count=True), "'llm_call_count' must be an integer"),
+        (lambda line: line.update(wall_time_s="0.5"), "'wall_time_s' must be a number"),
+        (lambda line: line.update(path={"triples": [["Entity 0", "rel 0"]]}), "'path' must be null or"),
+        (lambda line: line.update(path={}), "'path' must be null or"),
+        (lambda line: line.update(path=None), "a 'finetuned' line needs a 'path'"),
+    ], ids=["empty", "no_position", "float_position", "bool_call_count", "string_wall_time",
+            "two_field_triple", "path_without_triples", "finetuned_without_path"])
+    def test_question_log_line(self, workspace, command, edit, named):
+        """A joint log line that lacks a key its readers use, or holds it as
+        another JSON type, is named by ``path:line`` and the key."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        qa, script = write_joint_inputs(tmp_path)
+        line = {"error": "", "finetuned": True, "llm_call_count": 5, "position": 0,
+                "path": {"triples": [["e0", "r0", "e9"]]}, "wall_time_s": 0.5}
+        edit(line)
+        log = run_dir / "trajectories.jsonl"
+        log.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        args = ["train-joint", *cfg, "--qa", str(qa), "--scripted", str(script), "--resume"]
+        result = invoke(*(args if command == "train-joint" else ["report", "--run-dir", str(run_dir)]))
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines()[-1].startswith(f"Error: {log}:1: {named}")
+        assert log.read_text(encoding="utf-8") == json.dumps(line) + "\n"
 
     def test_non_finite_pretraining_loss(self, workspace):
         tmp_path, config_path = workspace

@@ -21,7 +21,7 @@ from kbloop.completer import (
     TrainingError,
     build_input_sequence,
 )
-from kbloop.kb import Triple, UnknownEntityError
+from kbloop.kb import Triple, UnknownEntityError, UnknownRelationError
 
 from conftest import make_kb
 
@@ -308,6 +308,18 @@ class TestIncrementalFinetune:
         assert np.array_equal(model.entity_vecs, before_e)
         assert np.array_equal(model.relation_vecs, before_r)
 
+    def test_unknown_relation_raises_before_any_update(self):
+        kb, model = self.pretrained()
+        before_e = model.entity_vecs.copy()
+        before_r = model.relation_vecs.copy()
+        path = [Triple("e0", "brand_new", "e1")]
+        with pytest.raises(UnknownRelationError):
+            model.incremental_finetune(path, sorted(kb.triples)[:10], kb,
+                                       TrainingConfig(finetune_passes=1))
+        assert "brand_new" not in model.relation_ids
+        assert np.array_equal(model.entity_vecs, before_e)
+        assert np.array_equal(model.relation_vecs, before_r)
+
     def test_requires_pretraining(self):
         kb = toy_kb()
         model = NativeCompleter(kb)
@@ -446,6 +458,13 @@ class TestRemoteCompleter:
             for h, r, t in replay
         ]
 
+    def test_empty_finetune_posts_nothing(self, bieber_kb):
+        transport = StubTransport([])
+        remote = RemoteCompleter(transport=transport)
+        assert remote.incremental_finetune([], sorted(bieber_kb.triples)[:2], bieber_kb,
+                                           TrainingConfig()) is remote
+        assert transport.requests == []
+
     def test_malformed_response(self, bieber_kb):
         remote = RemoteCompleter(transport=lambda path, payload: {"oops": 1})
         with pytest.raises(CompleterTransportError):
@@ -463,6 +482,9 @@ class TestRemoteCompleter:
         ("complete", {"samples": [{"logprob": -0.1}]}),
         ("complete", {"samples": [{"text": "Jeremy Bieber"}]}),
         ("complete", {"samples": [{"text": "Jeremy Bieber", "logprob": "high"}]}),
+        ("complete", {"samples": [{"text": "Jeremy Bieber", "logprob": "nan"}]}),
+        ("complete", {"samples": [{"text": "Jeremy Bieber", "logprob": "inf"}]}),
+        ("complete", {"samples": [{"text": "Jeremy Bieber", "logprob": float("nan")}]}),
     ])
     def test_reply_of_another_shape_is_a_transport_error(self, bieber_kb, call, reply):
         """A reply the service should never send is the transport error a

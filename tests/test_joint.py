@@ -303,7 +303,10 @@ class TestPersistence:
 
     def test_entries_read_the_log_once_with_the_jsonl_rules(self, tmp_path, monkeypatch):
         log = RunLog(tmp_path)
-        log.trajectories_path.write_bytes(b'{"a": 1}\n\n{"a": 2}\n{"a": 3, "torn')
+        lines = [{"finetuned": False, "llm_call_count": 1, "path": None, "position": i, "wall_time_s": 0.5}
+                 for i in range(2)]
+        first, second = map(json.dumps, lines)
+        log.trajectories_path.write_text(f'{first}\n\n{second}\n{{"a": 3, "torn', encoding="utf-8")
         opened = []
         real_open = io.open
 
@@ -313,7 +316,7 @@ class TestPersistence:
 
         monkeypatch.setattr(io, "open", counting)
         monkeypatch.setattr(builtins, "open", counting)
-        assert log.entries() == [{"a": 1}, {"a": 2}]  # blank line skipped, torn line dropped
+        assert log.entries() == lines  # blank line skipped, torn line dropped
         assert opened == ["trajectories.jsonl"]
         monkeypatch.undo()
         log.trajectories_path.write_bytes(b'{"a": 1}\n\nnot json\n')
@@ -374,13 +377,8 @@ class TestPersistence:
         assert_float32(NativeCompleter.load(log.checkpoint_path, kb).completer)
 
         log.checkpoint_path.write_bytes(base)
-        memory = ReplayMemory(sorted(kb.triples), seed=config.seed)
-
-        def finetune(m, triples):
-            replay = memory.sample(len(triples) * config.replay_samples_per_triple)
-            m.incremental_finetune(triples, replay, kb, config)
-
-        replayed = log.replay(NativeCompleter.load(log.checkpoint_path, kb), finetune, log.entries())
+        replayed = run_joint_training(run_dir, kb, [], NativeCompleter.load(log.checkpoint_path, kb),
+                                      ScriptedBackend([]), train_config=config).completer
         assert_float32(replayed)
         assert np.array_equal(replayed.entity_vecs, model.entity_vecs)
 
