@@ -24,9 +24,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import random
 import zipfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -129,6 +132,79 @@ def top_k(scores: np.ndarray, entity_ids, k: int) -> list[RankedPrediction]:
     return [RankedPrediction(entity_ids[i], float(scores[i])) for i in order]
 
 
+# A step splits only when each part gets at least this many logits: below it,
+# handing a part to a thread can cost more than the part saves (on a 2-core
+# x86 host, a 64 x 2k step at d 8 took 0.66 ms split in two, 0.49 ms inline).
+_PART_LOGITS = 1 << 20
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# numpy's error state is per thread, and a new thread's warns: a worker's part
+# runs under the step's
+@np.errstate(over="ignore", invalid="ignore")
+def _call(task) -> None:
+    task()
+
+
+def _run(pool, tasks) -> None:
+    """Call every task and return once all have ended, re-raising the first
+    failure. With a ``pool`` the first task runs in the calling thread and
+    the others on the pool's threads, under :meth:`NativeCompleter._step`'s
+    error state; with none, all run in turn in the calling thread."""
+    if pool is None:
+        for task in tasks:
+            task()
+        return
+    futures = [pool.submit(_call, task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        wait(futures)  # no part may write into the buffers once the step has raised
+    for future in futures:
+        future.result()
+
+
+def _softmax(logits: np.ndarray) -> None:
+    """Softmax of each row of ``logits``, in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+
+
+class _Workspace:
+    """The buffers and threads of one training call's steps, for batches of
+    at most ``rows`` rows. A step of ``n`` rows splits into :meth:`parts`
+    parts; its threads end when the workspace closes."""
+
+    def __init__(self, rows: int, n_entities: int, dim: int):
+        self._n_entities = n_entities
+        self._cores = _cores()
+        self.logits = np.empty((rows, n_entities), np.float32)
+        self.du = np.empty((rows, dim), np.float32)
+        self.grad_e = np.empty((n_entities, dim), np.float32)
+        most = self.parts(rows)
+        self.pool = ThreadPoolExecutor(most - 1, thread_name_prefix="kbloop-step") if most > 1 else None
+
+    def parts(self, n: int) -> int:
+        """1 (inline) unless each of at most one part per core gets at least
+        :data:`_PART_LOGITS` logits; never more than ``n``."""
+        return max(1, min(self._cores, n * self._n_entities // _PART_LOGITS, n))
+
+    def __enter__(self) -> _Workspace:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+
 def _label_rows(kb: KnowledgeBase, triples) -> list[list[str]]:
     """Triples as ``[label, relation label, label]`` rows, the remote wire form."""
     return [[kb.label_of(h), kb.relation_label(r), kb.label_of(t)] for h, r, t in triples]
@@ -171,6 +247,15 @@ class NativeCompleter:
     step, score and snapshot stays float32. All randomness flows through one
     generator seeded at construction, so identical call sequences give
     bit-identical models.
+
+    A step of B rows splits across the cores the process may run on when
+    each part gets at least 2**20 logits: into ``min(cores, B * |E| // 2**20)``
+    parts, at most B. The softmax's row blocks then run in parallel, and so
+    do the two backward products, each still one BLAS call; the forward
+    product stays in the calling thread. Smaller steps, such as fine-tunes,
+    run inline. Every row and product is computed as inline, so tables,
+    losses and snapshots are bit-identical for any core count. The threads
+    live for one training call.
     """
 
     def __init__(self, kb: KnowledgeBase, dim: int = 64, seed: int = 0):
@@ -213,29 +298,33 @@ class NativeCompleter:
     # Overflow shows as a non-finite loss here or as non-finite weights in
     # _run_passes, so numpy's warnings would only repeat it.
     @np.errstate(over="ignore", invalid="ignore")
-    def _step(self, batch: np.ndarray, lr: float) -> float:
+    def _step(self, batch: np.ndarray, lr: float, work: _Workspace) -> float:
         """One SGD step on softmax cross-entropy over all entities as tails.
 
         The objective is summed (not averaged) over the batch, so the update
         scale per example is independent of batch size; the returned loss is
-        the per-example mean, for monitoring.
+        the per-example mean, for monitoring. A step that splits runs the
+        softmax's row blocks and the two backward products on ``work``'s
+        threads; each row and each product is computed as inline, so the
+        result is the same bits.
         """
         h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
         eh = self.entity_vecs[h]
         wr = self.relation_vecs[r]
         u = eh * wr                                   # (B, d)
-        probs = u @ self.entity_vecs.T                # logits, (B, |E|), softmaxed in place
-        probs -= probs.max(axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
         n = len(batch)
+        parts = work.parts(n)
+        pool = work.pool if parts > 1 else None
+        probs = np.matmul(u, self.entity_vecs.T, out=work.logits[:n])  # logits, softmaxed in place
+        _run(pool, [partial(_softmax, probs[n * i // parts:n * (i + 1) // parts]) for i in range(parts)])
         loss = -np.mean(np.log(probs[np.arange(n), t] + 1e-12))
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss on batch of size {n}")
 
         probs[np.arange(n), t] -= 1.0                 # now d(loss)/d(logits)
-        du = probs @ self.entity_vecs                 # (B, d)
-        grad_e = probs.T @ u                          # candidate side, (|E|, d)
+        du, grad_e = work.du[:n], work.grad_e         # (B, d), candidate side (|E|, d)
+        _run(pool, [partial(np.matmul, probs, self.entity_vecs, out=du),
+                    partial(np.matmul, probs.T, u, out=grad_e)])
         np.add.at(grad_e, h, du * wr)
         grad_w = np.zeros_like(self.relation_vecs)
         np.add.at(grad_w, r, du * eh)
@@ -247,13 +336,14 @@ class NativeCompleter:
 
     def _run_passes(self, encoded: np.ndarray, config: TrainingConfig, n_passes: int) -> list[float]:
         losses = []
-        for _ in range(n_passes):
-            order = self._rng.permutation(len(encoded))
-            epoch_losses = []
-            for start in range(0, len(encoded), config.batch_size):
-                batch = encoded[order[start:start + config.batch_size]]
-                epoch_losses.append(self._step(batch, config.learning_rate))
-            losses.append(float(np.mean(epoch_losses)))
+        with _Workspace(min(config.batch_size, len(encoded)), *self.entity_vecs.shape) as work:
+            for _ in range(n_passes):
+                order = self._rng.permutation(len(encoded))
+                epoch_losses = []
+                for start in range(0, len(encoded), config.batch_size):
+                    batch = encoded[order[start:start + config.batch_size]]
+                    epoch_losses.append(self._step(batch, config.learning_rate, work))
+                losses.append(float(np.mean(epoch_losses)))
         # float32 overflows sooner than float64, and the last update of a call
         # is checked by no later loss
         if not (np.isfinite(self.entity_vecs).all() and np.isfinite(self.relation_vecs).all()):

@@ -148,13 +148,15 @@ class RunDir:
         """The completer snapshot, read and checked for ``kb``."""
         return NativeCompleter.load(self.checkpoint_path, kb)
 
-    def entries(self, writer: bool = False) -> list[dict]:
+    def entries(self, writer: bool = False, kb: KnowledgeBase | None = None) -> list[dict]:
         """The log's lines, parsed from one read. A torn last line, one a
         crash cut short (or a live run is appending), is dropped: that
         question never ran. Only the ``writer``, the run that appends next,
         creates the directory and cuts the torn line off the file. A line
         missing a key that a reader uses, or holding it as another JSON type,
-        raises :class:`RunLogError` naming ``path:line`` and the key."""
+        or, given the ``kb`` it is replayed on, a fine-tuned line whose path
+        names an id ``kb`` lacks, raises :class:`RunLogError` naming
+        ``path:line`` and the key or the id."""
         if writer:
             self.path.mkdir(parents=True, exist_ok=True)
         try:
@@ -173,6 +175,13 @@ class RunDir:
                     raise RunLogError(f"{self.trajectories_path}:{lineno}: {key!r} must be {what}")
             if entry["finetuned"] and entry["path"] is None:
                 raise RunLogError(f"{self.trajectories_path}:{lineno}: a 'finetuned' line needs a 'path'")
+            if kb is not None and entry["finetuned"]:
+                for h, r, t in entry["path"]["triples"]:
+                    for kind, id_, known in (("entity", h, kb.entities), ("relation", r, kb.relations),
+                                             ("entity", t, kb.entities)):
+                        if id_ not in known:
+                            raise RunLogError(f"{self.trajectories_path}:{lineno}: 'path' names "
+                                              f"{kind} {id_!r}, which the KB lacks")
         return [entry for _, entry in entries]
 
     @staticmethod
@@ -261,11 +270,13 @@ def run_joint_training(
     redraws the samples of every logged fine-tune, and the completer is
     fine-tuned on the lines after the snapshot, so the run continues from the
     end of the log; a snapshot that includes more lines than the log holds
-    raises :class:`RunLogError`. A remote completer's service owns its
-    training state and already holds every logged line, so for it the replay
-    only redraws. With ``resume`` the run continues the log's current sweep:
-    it skips the questions of ``qa_train`` up to the position of the log's
-    last line, not those of earlier sweeps.
+    raises :class:`RunLogError`, and so does a fine-tuned line, before the
+    snapshot or after it, whose path names an id ``kb`` lacks. A remote
+    completer's service owns its training state and already holds every
+    logged line, so for it the replay only redraws. With ``resume`` the run
+    continues the log's current sweep: it skips the questions of
+    ``qa_train`` up to the position of the log's last line, not those of
+    earlier sweeps.
 
     A fine-tune adds ``train_config.replay_samples_per_triple`` replay triples
     per path triple, sampled from ``kb.triples``, the pretraining set. Every
@@ -305,7 +316,7 @@ def run_joint_training(
         return snapshot.completer
 
     native = isinstance(completer, Snapshot)
-    entries = log.entries(writer=True)  # cuts a torn last line before any append
+    entries = log.entries(writer=True, kb=kb)  # cuts a torn last line before any append
     completer = rebuild(completer if native else Snapshot(completer, len(entries)))
     start = 0
     if resume and entries:  # after the position of the log's last line

@@ -814,6 +814,34 @@ class TestMalformedInputs:
         assert result.output.splitlines()[-1].startswith(f"Error: {log}:1: {named}")
         assert log.read_text(encoding="utf-8") == json.dumps(line) + "\n"
 
+    @pytest.mark.parametrize("triple, snapshot_lines, named", [
+        (["e0", "r0", "nope"], 0, "entity 'nope'"),
+        (["e0", "nope", "e9"], 0, "relation 'nope'"),
+        (["nope", "r0", "e9"], 1, "entity 'nope'"),
+    ], ids=["tail_after_snapshot", "relation_after_snapshot", "head_before_snapshot"])
+    def test_question_log_line_naming_an_id_the_kb_lacks(self, workspace, triple, snapshot_lines, named):
+        """``train-joint`` refuses a fine-tuned line whose path names an id the
+        KB lacks, by ``path:line`` and the id, whether or not the snapshot
+        includes the line; ``report`` reads no KB and takes it."""
+        tmp_path, config_path = workspace
+        run_dir = prepare(workspace)
+        cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]
+        invoke("pretrain", *cfg)
+        checkpoint = run_dir / "completer.npz"
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        np.savez(checkpoint, **dict(arrays, log_lines=np.array(snapshot_lines)))
+        qa, script = write_joint_inputs(tmp_path)
+        line = json.dumps({"error": "", "finetuned": True, "llm_call_count": 5, "position": 0,
+                           "path": {"triples": [triple]}, "wall_time_s": 0.5})
+        log = run_dir / "trajectories.jsonl"
+        log.write_text(f"\n{line}\n", encoding="utf-8")  # the blank first line is counted
+        result = invoke("train-joint", *cfg, "--qa", str(qa), "--scripted", str(script), "--resume")
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines()[-1] == f"Error: {log}:2: 'path' names {named}, which the KB lacks"
+        assert log.read_text(encoding="utf-8") == f"\n{line}\n"
+        assert invoke("report", "--run-dir", str(run_dir)).exit_code == 0
+
     def test_non_finite_pretraining_loss(self, workspace):
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)

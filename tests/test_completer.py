@@ -2,13 +2,16 @@
 scoring, replay fine-tuning, and the remote wire contract."""
 
 import json
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
 
-from kbloop import llm
+from kbloop import completer, llm
 from kbloop.completer import (
     CompleterTransportError,
     CompletionQuery,
@@ -70,6 +73,57 @@ def toy_kb(n=10):
     return make_kb(triples)
 
 
+def reference_step(entity_vecs, relation_vecs, batch, lr):
+    """The step written with a fresh array per expression."""
+    h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
+    eh, wr = entity_vecs[h], relation_vecs[r]
+    u = eh * wr
+    logits = u @ entity_vecs.T
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = len(batch)
+    loss = -np.mean(np.log(probs[np.arange(n), t] + 1e-12))
+    dlogits = probs
+    dlogits[np.arange(n), t] -= 1.0
+    du = dlogits @ entity_vecs
+    grad_e = dlogits.T @ u
+    np.add.at(grad_e, h, du * wr)
+    grad_w = np.zeros_like(relation_vecs)
+    np.add.at(grad_w, r, du * eh)
+    return entity_vecs - lr * grad_e, relation_vecs - lr * grad_w, float(loss)
+
+
+def check_steps_against_reference(parts=1):
+    """Steps of 1, 7 and 16 rows and a repeated head, on one model: each
+    ``_step`` equals :func:`reference_step`, split into at most ``parts``
+    parts and never into more than the batch has rows."""
+    kb = toy_kb(30)
+    model = NativeCompleter(kb, dim=8, seed=3)
+    encoded = model._encode(sorted(kb.triples))
+    rng = np.random.default_rng(5)
+    batches = [encoded[rng.choice(len(encoded), size, replace=False)] for size in (1, 7, 16)]
+    batches.append(encoded[[0, 0, 1, 0]])  # a repeated head: np.add.at accumulates
+    with completer._Workspace(16, *model.entity_vecs.shape) as work:
+        assert [work.parts(len(batch)) for batch in batches] == [1] + [parts] * 3
+        for batch in batches * 3:
+            ent, rel, loss = reference_step(model.entity_vecs, model.relation_vecs, batch, 0.3)
+            assert model._step(batch, 0.3, work) == loss
+            assert np.array_equal(model.entity_vecs, ent)
+            assert np.array_equal(model.relation_vecs, rel)
+    assert model.entity_vecs.dtype == model.relation_vecs.dtype == np.float32
+
+
+@pytest.fixture()
+def force_parts(monkeypatch):
+    """``force_parts(n)`` splits every step of at least ``n`` rows into ``n``
+    parts, however few its logits."""
+    def force(parts):
+        monkeypatch.setattr(completer, "_PART_LOGITS", 1)
+        monkeypatch.setattr(completer, "_cores", lambda: parts)
+    return force
+
+
 class TestNativeTraining:
     def test_loss_decreases(self):
         kb = toy_kb()
@@ -88,38 +142,12 @@ class TestNativeTraining:
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_step_matches_reference_bit_for_bit(self):
-        def reference_step(entity_vecs, relation_vecs, batch, lr):
-            """The step written with a fresh array per expression."""
-            h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
-            eh, wr = entity_vecs[h], relation_vecs[r]
-            u = eh * wr
-            logits = u @ entity_vecs.T
-            logits -= logits.max(axis=1, keepdims=True)
-            exp = np.exp(logits)
-            probs = exp / exp.sum(axis=1, keepdims=True)
-            n = len(batch)
-            loss = -np.mean(np.log(probs[np.arange(n), t] + 1e-12))
-            dlogits = probs
-            dlogits[np.arange(n), t] -= 1.0
-            du = dlogits @ entity_vecs
-            grad_e = dlogits.T @ u
-            np.add.at(grad_e, h, du * wr)
-            grad_w = np.zeros_like(relation_vecs)
-            np.add.at(grad_w, r, du * eh)
-            return entity_vecs - lr * grad_e, relation_vecs - lr * grad_w, float(loss)
+        check_steps_against_reference()
 
-        kb = toy_kb(30)
-        model = NativeCompleter(kb, dim=8, seed=3)
-        encoded = model._encode(sorted(kb.triples))
-        rng = np.random.default_rng(5)
-        batches = [encoded[rng.choice(len(encoded), size, replace=False)] for size in (1, 7, 16)]
-        batches.append(encoded[[0, 0, 1, 0]])  # a repeated head: np.add.at accumulates
-        for batch in batches * 3:
-            ent, rel, loss = reference_step(model.entity_vecs, model.relation_vecs, batch, 0.3)
-            assert model._step(batch, 0.3) == loss
-            assert np.array_equal(model.entity_vecs, ent)
-            assert np.array_equal(model.relation_vecs, rel)
-        assert model.entity_vecs.dtype == model.relation_vecs.dtype == np.float32
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_split_step_matches_reference_bit_for_bit(self, force_parts, parts):
+        force_parts(parts)
+        check_steps_against_reference(parts)
 
     @pytest.mark.parametrize("batch_size, message", [
         (64, "non-finite weights after training on 15 triples"),
@@ -136,6 +164,51 @@ class TestNativeTraining:
                 NativeCompleter(kb, dim=8, seed=0).pretrain(sorted(kb.triples), kb, config)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("batch_size, learning_rate, message", [
+        (64, 1e308, "non-finite weights after training on 15 triples"),
+        (4, 1e308, "non-finite loss on batch of size 4"),
+        (4, 1e20, "non-finite loss on batch of size 4"),
+    ], ids=["last_update", "next_loss", "infinite_logits"])
+    def test_split_overflow_is_a_training_error_without_warnings(self, force_parts, batch_size,
+                                                                 learning_rate, message):
+        # a worker thread starts from numpy's default error state, which
+        # warns; at lr 1e20 the second step's logits hold inf, and a worker's
+        # rows compute inf - inf
+        force_parts(2)
+        kb = toy_kb()
+        config = TrainingConfig(epochs=1, batch_size=batch_size, learning_rate=learning_rate)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match=message):
+                NativeCompleter(kb, dim=8, seed=0).pretrain(sorted(kb.triples), kb, config)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_split_training_saves_the_inline_snapshot(self, tmp_path, force_parts, monkeypatch):
+        """Pretraining and a fine-tune write the same snapshot bytes split
+        into 3 parts as inline; the parts run on threads that end with the
+        training call."""
+        kb = toy_kb(30)
+        triples = sorted(kb.triples)
+        config = TrainingConfig(epochs=5, batch_size=11, seed=0, finetune_passes=3)  # 4 x 11 rows + 1
+
+        def train(name):
+            model = NativeCompleter(kb, dim=8, seed=3).pretrain(triples, kb, config)
+            model.save(tmp_path / f"pretrained-{name}.npz")
+            model.incremental_finetune(triples[:2], triples[5:9], kb, config)
+            model.save(tmp_path / f"finetuned-{name}.npz")
+
+        train("inline")
+        force_parts(3)
+        threads, softmax = [], completer._softmax
+        monkeypatch.setattr(completer, "_softmax", lambda logits: (
+            threads.append(threading.current_thread().name), softmax(logits)))
+        train("split")
+        assert any(name.startswith("kbloop-step") for name in threads)
+        assert not [t for t in threading.enumerate() if t.name.startswith("kbloop-step")]
+        for stage in ("pretrained", "finetuned"):
+            inline, split = (tmp_path / f"{stage}-{name}.npz" for name in ("inline", "split"))
+            assert inline.read_bytes() == split.read_bytes()
+
     def test_fit_capacity_single_fact(self):
         # the only r-triple is (a, r, b); a fitted model must put b first
         kb = make_kb([("a", "r", "b"), ("c", "s", "d"), ("b", "s", "c")])
@@ -148,6 +221,24 @@ class TestNativeTraining:
         kb = toy_kb()
         with pytest.raises(ValueError):
             NativeCompleter(kb).pretrain([], kb)
+
+
+def test_parts_run_to_their_end_before_a_failure_is_raised():
+    ended = threading.Event()
+
+    def fail():
+        raise ValueError("part failed")
+
+    def slow():
+        time.sleep(0.05)
+        ended.set()
+
+    with ThreadPoolExecutor(2) as pool:
+        with pytest.raises(ValueError, match="part failed"):
+            completer._run(pool, [fail, slow])  # the calling thread's part fails first
+        assert ended.is_set()
+        with pytest.raises(ValueError, match="part failed"):
+            completer._run(pool, [lambda: None, fail])  # a worker's failure is raised too
 
 
 class TestNativePredict:

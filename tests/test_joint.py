@@ -603,11 +603,11 @@ class TestWriteAheadLog:
                 return real_finetune(model, *args, **kwargs)
             steps = []
 
-            def step(batch, lr):
+            def step(batch, lr, work):
                 steps.append(batch)
                 if len(steps) == 2:
                     raise TrainingError(f"non-finite loss on batch of size {len(batch)}")
-                return real_step(model, batch, lr)
+                return real_step(model, batch, lr, work)
 
             model._step = step
             try:
