@@ -261,13 +261,11 @@ def _resolve_surface(surface, thought, kb, llm, notes) -> str | None:
 
 
 def _pick_relations(reply: str, available, kb, limit: int) -> list[str]:
-    by_label = {}
-    for rid in sorted(available):
-        by_label.setdefault(normalize_label(kb.relation_label(rid)), rid)
+    """Up to ``limit`` relations the reply names, in its order: per label, its smallest id in ``available``."""
     chosen = []
     cleaned = re.sub(r"(?i)^\s*answers?\s*:\s*", "", reply.strip())
     for part in re.split(r"[,\n]", cleaned):
-        rid = by_label.get(normalize_label(part))
+        rid = next((r for r in kb.lookup_relation_label(part) if r in available), None)
         if rid is not None and rid not in chosen:
             chosen.append(rid)
         if len(chosen) >= limit:

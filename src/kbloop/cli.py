@@ -273,14 +273,9 @@ def eval_kbqa(config_path, run_dir, qa_path, scripted):
 
     lines = []
     for position, ex in enumerate(examples):
-        error = ""
-        try:
-            trajectory = agent_mod.run_episode(
-                ex.question, list(ex.topic_entities), working_kb, completer, backend,
-                config=cfg.agent, params=cfg.llm_params(),
-            )
-        except agent_mod.EpisodeAborted as exc:  # its trajectory has no final answer
-            trajectory, error = exc.trajectory, str(exc)
+        trajectory, error = joint_mod.run_example(ex, working_kb, completer, backend, train=False,
+                                                  agent_config=cfg.agent, params=cfg.llm_params())
+        if error:
             logger.warning("question %d failed: %s", position, error)
         lines.append(run_dir.line(trajectory, error))
     run_dir.write_kbqa_log(lines)

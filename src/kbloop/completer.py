@@ -430,9 +430,8 @@ class NativeCompleter:
                 model.relation_ids = data["relation_ids"].tolist()
                 model.entity_vecs = data["entity_vecs"]
                 model.relation_vecs = data["relation_vecs"]
-                model.trained = bool(data["trained"][0])
+                trained, log_lines = data["trained"], data["log_lines"]
                 rng_state = json.loads(str(data["rng_state"]))
-                log_lines = int(data["log_lines"])
             model._rng = np.random.default_rng()
             model._rng.bit_generator.state = rng_state
         except FileNotFoundError:
@@ -450,11 +449,16 @@ class NativeCompleter:
         if (not dim or model.entity_vecs.shape != (len(model.entity_ids), *dim)
                 or model.relation_vecs.shape != (len(model.relation_ids), *dim)):
             raise refuse("holds tables whose rows do not match its ids")
+        if trained.dtype != bool or trained.tolist() != [True]:
+            raise refuse("is not of a trained model")
+        if log_lines.dtype.kind not in "iu" or log_lines.shape != () or log_lines < 0:
+            raise refuse(f"holds log_lines {log_lines.tolist()!r}, not a non-negative integer")
         model.dim = dim[0]
         model._ent_index = kb.entity_index
         model._rel_index = {r: i for i, r in enumerate(model.relation_ids)}
+        model.trained = True
         model.loss_history = []
-        return Snapshot(model, log_lines)
+        return Snapshot(model, int(log_lines))
 
 
 class Snapshot(NamedTuple):
@@ -506,7 +510,6 @@ class RemoteCompleter:
         self.temperature = temperature
         self.max_context = max_context
         self._post = transport or _http_transport(endpoint, timeout)
-        self.trained = True  # service owns training state
 
     def _decode(self, query: CompletionQuery, kb: KnowledgeBase) -> dict[EntityId, float]:
         reply = self._post("complete", {"sequence": build_input_sequence(kb, query, self.max_context),

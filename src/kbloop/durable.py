@@ -42,9 +42,10 @@ def write_atomic(path, write, sync: bool = True) -> None:
         _sync_dir(path.parent)
 
 
-def append_line(path, line: str) -> None:
-    """Append ``line`` and a newline to ``path`` and fsync it."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+def append_line(path, line: bytes) -> None:
+    """Append ``line``, encoded bytes that end in their newline, to ``path``
+    and fsync it."""
+    with open(path, "ab") as fh:
+        fh.write(line)
         fh.flush()
         os.fsync(fh.fileno())

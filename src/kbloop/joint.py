@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import kb as kb_mod  # called through the module, whose readers perfbench wraps
-from .agent import AgentConfig, EpisodeAborted, run_episode
+from .agent import AgentConfig, EpisodeAborted, Trajectory, run_episode
 from .completer import (CompleterTransportError, NativeCompleter, ReplayMemory, Snapshot,
                         TrainingConfig, TrainingError)
 from .durable import append_line, write_atomic
@@ -200,7 +200,7 @@ class RunDir:
 
     def append(self, line: dict) -> None:
         """Append ``line`` to the joint log and fsync it."""
-        append_line(self.trajectories_path, json.dumps(line, ensure_ascii=False, sort_keys=True))
+        append_line(self.trajectories_path, _json_bytes(line))
 
     def save_checkpoint(self, completer, log_lines: int) -> None:
         """Snapshot ``completer`` as including ``log_lines`` lines of the log."""
@@ -246,6 +246,19 @@ def _json_bytes(value, indent=None) -> bytes:
 
 def _triples_writer(triples):
     return lambda fh: fh.writelines(f"{h}\t{r}\t{t}\n".encode("utf-8") for h, r, t in sorted(triples))
+
+
+def run_example(example: QaExample, kb: KnowledgeBase, completer, llm, *, train: bool,
+                agent_config: AgentConfig, params: LlmParams | None) -> tuple[Trajectory, str]:
+    """``example``'s episode, supervised by its gold answers when ``train``:
+    ``(trajectory, error)``, the error empty when none. An episode that a
+    transport failure aborts gives its trajectory prefix and the failure."""
+    try:
+        return run_episode(example.question, list(example.topic_entities), kb, completer, llm,
+                           config=agent_config, gold_answers=list(example.gold_answers) if train else None,
+                           params=params), ""
+    except EpisodeAborted as exc:
+        return exc.trajectory, str(exc)
 
 
 def run_joint_training(
@@ -328,25 +341,15 @@ def run_joint_training(
     started = time.perf_counter()
     first = len(entries)
     for position, example in enumerate(qa_train, start=start):
-        path, error, finetuned = None, "", False
+        path, finetuned = None, False
+        trajectory, error = run_example(example, kb, completer, llm, train=True,
+                                        agent_config=agent_config, params=params)
         try:
-            trajectory = run_episode(
-                example.question,
-                list(example.topic_entities),
-                kb,
-                completer,
-                llm,
-                config=agent_config,
-                gold_answers=list(example.gold_answers),
-                params=params,
-            )
-            if example.topic_entities:  # fallback-answered questions yield no path
+            if example.topic_entities and not error:  # fallback-answered questions yield no path
                 path = parse_reasoning_paths(trajectory, kb, llm, params, agent_config)
             if path and path.triples:
                 finetune(completer, path.triples)
                 finetuned = True
-        except EpisodeAborted as exc:
-            trajectory, error = exc.trajectory, str(exc)
         except (LlmTransportError, CompleterTransportError) as exc:  # path_select, a remote fine-tune
             error = str(exc)
         except TrainingError as exc:  # only a native completer's

@@ -1,4 +1,4 @@
-"""Triple store with adjacency indexes, a label catalog, and context selection.
+"""Triple store with an incidence index, a label catalog, and context selection.
 
 A knowledge base is a set of directed (head, relation, tail) triples plus
 surface records (labels, descriptions) for entities and relations. Its
@@ -88,8 +88,9 @@ class KnowledgeBase:
     them again (a caller building a store in code owes the same checks).
 
     Indexes kept in sync with ``triples``:
-      * ``out_index``: head id -> triples with that head
-      * ``in_index``: tail id -> triples with that tail
+      * ``incidence``: entity id -> the triples incident to it, in either
+        direction, a self-loop listed once, unordered (:meth:`neighbors`,
+        :meth:`relations_of`)
       * ``_catalog``: normalized entity label -> sorted entity ids (:meth:`lookup_label`)
       * ``_relation_catalog``: normalized relation label -> sorted relation ids
         (:meth:`lookup_relation_label`)
@@ -116,20 +117,17 @@ class KnowledgeBase:
         for r, rec in sorted(self.relations.items()):
             self._relation_catalog.setdefault(normalize_label(rec.label), []).append(r)
 
-        # one pass over the distinct triples fills the set and both adjacency lists
-        triple_set, out_index, in_index = set(), {}, {}
+        # one pass over the distinct triples fills the set and the incidence lists
+        triple_set, incidence = set(), {}
         for t in triples:
             if t in triple_set:
                 continue
             triple_set.add(t)
-            out_index.setdefault(t[0], []).append(t)
-            in_index.setdefault(t[2], []).append(t)
-        for adj in (out_index, in_index):
-            for ts in adj.values():
-                ts.sort()
+            incidence.setdefault(t[0], []).append(t)
+            if t[2] != t[0]:
+                incidence.setdefault(t[2], []).append(t)
         self.triples: set[Triple] = triple_set
-        self.out_index: dict[EntityId, list[Triple]] = out_index
-        self.in_index: dict[EntityId, list[Triple]] = in_index
+        self.incidence: dict[EntityId, list[Triple]] = incidence
 
     # -- lookups ----------------------------------------------------------
 
@@ -192,18 +190,13 @@ class KnowledgeBase:
         """All triples incident to ``e`` in either direction, sorted by
         (relation, counterpart, head, tail)."""
         self.entity(e)
-        # a self-loop is in both lists; it is taken from the outgoing one
-        found = list(self.out_index.get(e, ()))
-        found += [t for t in self.in_index.get(e, ()) if t[0] != e]
-        found.sort(key=lambda t: (t[1], t[2] if t[0] == e else t[0], t[0], t[2]))
-        return found
+        return sorted(self.incidence.get(e, ()),
+                      key=lambda t: (t[1], t[2] if t[0] == e else t[0], t[0], t[2]))
 
     def relations_of(self, e: EntityId) -> set[RelationId]:
         """Relations incident to ``e`` in either direction."""
         self.entity(e)
-        rels = {r for _, r, _ in self.out_index.get(e, ())}
-        rels.update(r for _, r, _ in self.in_index.get(e, ()))
-        return rels
+        return {r for _, r, _ in self.incidence.get(e, ())}
 
     def cooccurrence_score(self, r: RelationId, r_hat: RelationId) -> int:
         """Number of entities incident to both ``r`` and ``r_hat``.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kb import KnowledgeBase, RelationId
 
@@ -33,15 +33,9 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in _NON_ALNUM.split(text.lower()) if tok]
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     doc_id: object
     text: str
-    tokens: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.tokens:
-            self.tokens = tokenize(self.text)
 
 
 class Bm25Index:
@@ -58,14 +52,15 @@ class Bm25Index:
     def __init__(self, docs):
         self.docs: list[Document] = list(docs)
         n = len(self.docs)
-        lens = [len(d.tokens) for d in self.docs]
+        tokens = [tokenize(d.text) for d in self.docs]
+        lens = [len(toks) for toks in tokens]
         avgdl = (sum(lens) / n) if n else 0.0
         self.norms = [
             self.k1 * (1.0 - self.b + self.b * dl / avgdl) if avgdl else 0.0 for dl in lens
         ]
         self.postings: dict[str, list[tuple[int, int]]] = {}
-        for i, d in enumerate(self.docs):
-            for term, f in Counter(d.tokens).items():
+        for i, toks in enumerate(tokens):
+            for term, f in Counter(toks).items():
                 self.postings.setdefault(term, []).append((i, f))
         self.idf = {
             term: math.log((n - len(posting) + 0.5) / (len(posting) + 0.5) + 1.0)

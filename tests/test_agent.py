@@ -437,6 +437,17 @@ class TestSearchEdgeCases:
         assert len(obs.triples) == n_triples
 
 
+    @pytest.mark.parametrize("incident, followed", [(["r2"], "r2"), (["r2", "r1"], "r1")],
+                             ids=["only_r2_incident", "both_incident"])
+    def test_a_shared_relation_label_follows_the_smallest_incident_id(self, incident, followed):
+        kb = make_kb([("h", r, f"t{r}") for r in incident] + [("o", "r1", "x")],
+                     entities={"h": ("Hub", "")},
+                     relations={"r1": ("born in", "", ""), "r2": ("born in", "", "")})
+        chat = TemplateChat(ScriptedBackend([("Entity Name: Hub", "Answers: born in")]), max_calls=1)
+        obs = exec_search(["Hub"], "t", kb, chat, AgentConfig())
+        assert [(t.relation_id, t.tail) for t in obs.triples] == [(followed, f"t{followed}")]
+
+
 class TestGenerateEdgeCases:
     def korea_kb(self):
         return make_kb(

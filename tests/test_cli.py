@@ -710,6 +710,9 @@ SNAPSHOT_DAMAGE = {
     "no_log_lines": lambda c: _rewrite_snapshot(c, lambda a: a.pop("log_lines", None)),
     "rows_do_not_match_ids": lambda c: _rewrite_snapshot(
         c, lambda a: a.update(entity_vecs=a["entity_vecs"][:-1])),
+    "not_trained": lambda c: _rewrite_snapshot(c, lambda a: a.update(trained=np.array([False]))),
+    "negative_log_lines": lambda c: _rewrite_snapshot(c, lambda a: a.update(log_lines=np.array(-3))),
+    "fractional_log_lines": lambda c: _rewrite_snapshot(c, lambda a: a.update(log_lines=np.array(2.5))),
     # as pretrained when the store still reserved a `noop` relation
     "extra_noop_relation_row": lambda c: _rewrite_snapshot(
         c, lambda a: a.update(relation_ids=np.array(["noop", *a["relation_ids"]]),
@@ -856,8 +859,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
     def test_damaged_snapshot(self, workspace, damage, command):
         """A snapshot that is cut short, lacks a key, has a row count that
-        does not match its ids, or has a relation the KB lacks is refused in
-        one line naming it, with exit code 2."""
+        does not match its ids, has a relation the KB lacks, is not of a
+        trained model or holds a ``log_lines`` that is not a non-negative
+        integer is refused in one line naming it, with exit code 2."""
         tmp_path, config_path = workspace
         run_dir = prepare(workspace)
         cfg = ["--config", str(config_path), "--run-dir", str(run_dir)]

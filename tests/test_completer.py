@@ -437,6 +437,7 @@ class TestCheckpoint:
     def test_the_entity_vocabulary_is_the_kbs(self, tmp_path):
         kb = toy_kb()
         model = NativeCompleter(kb, dim=4, seed=2)
+        model.trained = True  # a snapshot of an untrained model is refused
         model.save(tmp_path / "model.npz")
         assert model._ent_index is kb.entity_index
         assert NativeCompleter.load(tmp_path / "model.npz", kb).completer._ent_index is kb.entity_index

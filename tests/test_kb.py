@@ -239,12 +239,19 @@ class TestNeighbors:
             kb.neighbors("nope")
 
     def test_matches_brute_force_scan(self):
+        """The same list as a scan sorted by (relation, counterpart, head,
+        tail), whatever order the triples were given in."""
         rng = random.Random(4)
         for trial in range(10):
-            kb = random_kb(rng, 30, 5, 60)
+            base = random_kb(rng, 30, 5, 60)
+            triples = sorted(base.triples) + [(e, f"r{rng.randrange(5)}", e)
+                                              for e in rng.sample(sorted(base.entities), 5)]
+            rng.shuffle(triples)
+            kb = make_kb(triples, entities={e: (e, "") for e in base.entities})
             for e in kb.entities:
-                expected = {t for t in kb.triples if e in (t.head, t.tail)}
-                assert set(kb.neighbors(e)) == expected
+                expected = sorted((t for t in kb.triples if e in (t.head, t.tail)),
+                                  key=lambda t: (t.relation, t.tail if t.head == e else t.head, t.head, t.tail))
+                assert kb.neighbors(e) == expected
 
 
 class TestRelationsOf:
